@@ -13,12 +13,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Ablation: ideal vs interleaved (banked) L1 ports, "
@@ -83,4 +86,12 @@ main(int argc, char **argv)
                 "caches are banked (its per-cache port\ncounts are "
                 "small).\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -17,12 +17,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Ablation: classification scheme under optimized (3+2)",
@@ -79,4 +82,12 @@ main(int argc, char **argv)
     std::printf("\n(annotation/spbase/predictor columns are relative "
                 "to the oracle IPC)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -10,12 +10,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Ablation: LVAQ size under optimized (3+2), relative to "
@@ -63,4 +66,12 @@ main(int argc, char **argv)
     }
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -18,12 +18,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Ablation (Section 4.4): tiny fast L1 vs decoupling, "
@@ -93,4 +96,12 @@ main(int argc, char **argv)
                 "expects the first number to fall below 1.0 once the "
                 "L2 is slower than ~4 cycles.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

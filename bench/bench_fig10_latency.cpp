@@ -22,12 +22,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Figure 10: sensitivity to cache access latency "
@@ -95,4 +98,12 @@ main(int argc, char **argv)
                     "(4+0)@3cyc avg %.3f (paper: (4+0) wins for FP)\n",
                     geomean(fpD22), geomean(fpD40s));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -14,12 +14,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     // The paper's Figure 11 shows gcc, li, vortex and swim.
     const char *defaults = "gcc,li,vortex,swim";
@@ -72,4 +75,12 @@ main(int argc, char **argv)
         table.print(std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

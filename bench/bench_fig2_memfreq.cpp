@@ -15,6 +15,7 @@
 
 #include "bench_common.hh"
 #include "stats/group.hh"
+#include "util/main_guard.hh"
 #include "util/thread_pool.hh"
 #include "vm/executor.hh"
 #include "vm/trace.hh"
@@ -34,8 +35,10 @@ struct Row
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     opts.args.rejectUnknown(); // no grid here; reject typos ourselves
@@ -88,4 +91,12 @@ main(int argc, char **argv)
                 "36%%)\n",
                 mean(ld) * 100, mean(st) * 100, mean(refs) * 100);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

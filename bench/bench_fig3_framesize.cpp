@@ -12,6 +12,7 @@
 
 #include "bench_common.hh"
 #include "stats/group.hh"
+#include "util/main_guard.hh"
 #include "util/thread_pool.hh"
 #include "vm/executor.hh"
 #include "vm/trace.hh"
@@ -34,8 +35,10 @@ struct Row
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     // Default to the integer subset, as the paper's figure does.
     Options opts(argc, argv);
@@ -106,4 +109,12 @@ main(int argc, char **argv)
                 "%.1f words (paper: ~3 dynamic / ~7 static)\n",
                 mean(dynMeans), mean(statMeans));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

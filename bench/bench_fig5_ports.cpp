@@ -13,12 +13,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Figure 5: (N+0) performance relative to (16+0)",
@@ -69,4 +72,12 @@ main(int argc, char **argv)
                 "%.0f%%.\n",
                 geomean(rel[1]) * 100, geomean(rel[3]) * 100);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

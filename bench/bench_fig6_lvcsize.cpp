@@ -15,12 +15,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Figure 6: LVC miss rate vs size (direct-mapped, 4-port)",
@@ -74,4 +77,12 @@ main(int argc, char **argv)
                 "at 4 KB (paper: <1%% and ~0.1%%)\n",
                 mean(missAt2k) * 100, mean(missAt4k) * 100);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -13,12 +13,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Figure 8: access combining speedup over no combining",
@@ -71,4 +74,12 @@ main(int argc, char **argv)
                 (geomean(g31x2) - 1) * 100,
                 (geomean(g32x2) - 1) * 100);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

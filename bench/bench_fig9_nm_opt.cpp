@@ -14,12 +14,15 @@
 
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Figure 9: optimized (N+M) performance relative to (2+0)",
@@ -78,4 +81,12 @@ main(int argc, char **argv)
     }
     avg.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -31,6 +31,7 @@
 #include "analysis/annotate.hh"
 #include "bench_common.hh"
 #include "config/presets.hh"
+#include "util/main_guard.hh"
 
 using namespace ddsim;
 using namespace ddsim::bench;
@@ -56,8 +57,10 @@ constexpr Policy kPolicies[] = {
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     banner("Static partitioning: ddlint verdicts vs dynamic schemes "
@@ -178,4 +181,12 @@ main(int argc, char **argv)
     }
     std::printf("\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -18,6 +18,7 @@
 #include "analysis/analyzer.hh"
 #include "bench_common.hh"
 #include "stats/group.hh"
+#include "util/main_guard.hh"
 #include "util/thread_pool.hh"
 #include "vm/executor.hh"
 #include "vm/trace.hh"
@@ -43,8 +44,10 @@ struct Row
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     Options opts(argc, argv);
     opts.args.rejectUnknown(); // no grid here; reject typos ourselves
@@ -109,4 +112,12 @@ main(int argc, char **argv)
                 "%.1f words (paper: ~7 static / ~3 dynamic)\n",
                 mean(statMeans), mean(dynMeans));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

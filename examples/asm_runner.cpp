@@ -22,6 +22,7 @@
 #include "cpu/pipeline.hh"
 #include "prog/asm_parser.hh"
 #include "sim/runner.hh"
+#include "util/main_guard.hh"
 #include "vm/executor.hh"
 
 using namespace ddsim;
@@ -58,8 +59,10 @@ square:                          # v0 = a0 * a0, via frame slots
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
 
@@ -132,4 +135,12 @@ main(int argc, char **argv)
     if (opts.captureStats)
         std::printf("\n%s", r.statsText.c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -11,9 +11,11 @@
 
 #include <cstdio>
 
+#include "config/cli.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
 #include "sim/runner.hh"
+#include "util/main_guard.hh"
 #include "vm/executor.hh"
 
 using namespace ddsim;
@@ -88,11 +90,11 @@ buildBlurKernel(int rows)
     return b.finish();
 }
 
-} // namespace
-
 int
-main()
+runMain(int argc, char **argv)
 {
+    config::CliArgs(argc, argv).rejectUnknown(); // Takes no options.
+
     Program program = buildBlurKernel(400);
     std::printf("built '%s': %zu instructions of text\n",
                 program.name().c_str(), program.textSize());
@@ -126,4 +128,12 @@ main()
                 "fast data forwarding targets:\nthe store and reload "
                 "share the frame slot offset within one sp-epoch.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -17,12 +17,15 @@
 #include "config/presets.hh"
 #include "sim/sweep.hh"
 #include "sim/table.hh"
+#include "util/main_guard.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     std::string name = args.get("workload", "vortex");
@@ -76,4 +79,12 @@ main(int argc, char **argv)
                 "Look for the paper's signature: a dip at M=1, "
                 "recovery at M=2, saturation by M=3.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -25,12 +25,15 @@
 #include "config/presets.hh"
 #include "sim/runner.hh"
 #include "util/log.hh"
+#include "util/main_guard.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     std::string name = args.get("workload", "li");
@@ -112,4 +115,12 @@ main(int argc, char **argv)
     }
 
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

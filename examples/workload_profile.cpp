@@ -13,16 +13,19 @@
 
 #include "config/cli.hh"
 #include "sim/table.hh"
-#include "util/str.hh"
 #include "stats/group.hh"
+#include "util/main_guard.hh"
+#include "util/str.hh"
 #include "vm/executor.hh"
 #include "vm/trace.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     double scale = args.getDouble("scale", 1.0);
@@ -88,4 +91,12 @@ main(int argc, char **argv)
                 "147.vortex is the most local (~71%% of refs), "
                 "129.compress the least (~10%%); frames are small.\n");
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -1,6 +1,9 @@
 #include "core/mem_queue.hh"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
+#include <ranges>
 
 #include "core/fast_forward.hh"
 #include "util/log.hh"
@@ -46,8 +49,13 @@ MemQueue::MemQueue(stats::Group *parent, const std::string &name,
 {
     if (size < 1)
         panic("memory queue needs at least one entry");
-    pendingLoads.reserve(static_cast<std::size_t>(size));
-    ffScratch.reserve(static_cast<std::size_t>(size));
+    auto n = static_cast<std::size_t>(size);
+    loadWait.resize(n);
+    readyBits.assign((n + 63) / 64, 0);
+    barrierBits.assign((n + 63) / 64, 0);
+    timers.reserve(n);
+    storeWaiters.resize(n);
+    chunkFilter.assign(kFilterSize, 0);
 }
 
 int
@@ -57,43 +65,14 @@ MemQueue::positionOf(int slot) const
 }
 
 void
-MemQueue::indexStore(const QueueEntry &e, int slot)
+MemQueue::filterStore(const QueueEntry &e, int delta)
 {
-    if (e.size == 0)
-        return; // A zero-width access overlaps nothing.
+    if (!e.addrKnown || e.cancelled || e.size == 0)
+        return; // Not a store a load can hit.
     Addr lo = e.addr >> kChunkShift;
     Addr hi = (e.addr + e.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        chunkStores[c].push_back(slot);
-        if (c == hi)
-            break;
-    }
-}
-
-void
-MemQueue::unindexStore(const QueueEntry &e, int slot)
-{
-    if (!e.addrKnown || e.size == 0)
-        return;
-    Addr lo = e.addr >> kChunkShift;
-    Addr hi = (e.addr + e.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        auto it = chunkStores.find(c);
-        if (it != chunkStores.end()) {
-            auto &v = it->second;
-            auto pos = std::find(v.begin(), v.end(), slot);
-            if (pos != v.end()) {
-                *pos = v.back(); // Order-free: lookups pick by seq.
-                v.pop_back();
-            }
-            // The node and the vector's capacity are kept: the next
-            // store to this chunk reuses them instead of paying a
-            // map-node plus vector allocation (this pair was the
-            // hottest malloc/free site in the whole simulator).
-        }
-        if (c == hi)
-            break;
-    }
+    for (Addr c = lo; c <= hi; ++c)
+        chunkFilter[c % kFilterSize] += static_cast<std::uint32_t>(delta);
 }
 
 int
@@ -101,28 +80,22 @@ MemQueue::youngestOlderStore(const QueueEntry &load) const
 {
     if (load.size == 0)
         return -1;
-    int best = -1;
-    InstSeq bestSeq = 0;
     Addr lo = load.addr >> kChunkShift;
     Addr hi = (load.addr + load.size - 1) >> kChunkShift;
-    for (Addr c = lo;; ++c) {
-        auto it = chunkStores.find(c);
-        if (it != chunkStores.end()) {
-            for (int slot : it->second) {
-                const QueueEntry &st =
-                    entries[static_cast<std::size_t>(slot)];
-                if (st.seq >= load.seq || !st.overlaps(load))
-                    continue;
-                if (best < 0 || st.seq > bestSeq) {
-                    best = slot;
-                    bestSeq = st.seq;
-                }
-            }
-        }
-        if (c == hi)
-            break;
+    bool maybe = false;
+    for (Addr c = lo; c <= hi && !maybe; ++c)
+        maybe = chunkFilter[c % kFilterSize] != 0;
+    if (!maybe)
+        return -1; // No live store touches these chunks.
+    for (int slot : storesByAge | std::views::reverse) {
+        const QueueEntry &st = entries[static_cast<std::size_t>(slot)];
+        if (st.seq >= load.seq || st.cancelled || !st.addrKnown ||
+            st.size == 0)
+            continue; // Younger, inert, or overlapping nothing.
+        if (st.overlaps(load))
+            return slot;
     }
-    return best;
+    return -1;
 }
 
 int
@@ -150,28 +123,31 @@ MemQueue::allocate(InstSeq seq, int robIdx, bool isLoad,
     e.offset = offset;
     e.baseVersion = baseVersion;
 
+    loadWait[static_cast<std::size_t>(slot)] = LoadWait{};
+
     if (isLoad) {
         ++loadsTotal;
         if (policy.fastForward) {
             // Candidates: resident stores only, youngest first (the
             // original scan walked all older slots but skipped
             // non-stores, so the result is identical).
-            ffScratch.clear();
-            for (auto it = storesByAge.rbegin();
-                 it != storesByAge.rend(); ++it)
-                ffScratch.push_back(it->first);
-            int match = findFastForwardStore(entries, ffScratch, e);
+            int match = findFastForwardStore(
+                entries, storesByAge | std::views::reverse, e);
             if (match >= 0) {
+                const QueueEntry &st =
+                    entries[static_cast<std::size_t>(match)];
                 e.fastFwdSlot = match;
-                e.fastFwdSeq =
-                    entries[static_cast<std::size_t>(match)].seq;
+                e.fastFwdSeq = st.seq;
+                wake(slot); // May forward before any address exists.
+                if (st.dataReady) // Its forward is due from then on.
+                    extEvent = std::min(extEvent, st.dataReadyAt);
             }
         }
-        pendingLoads.emplace_back(slot, seq);
+        // Otherwise the load has nothing to do until setAddress.
     } else {
         ++storesTotal;
         noAddrStores.emplace_back(slot, seq);
-        storesByAge.emplace_back(slot, seq);
+        storesByAge.push_back(slot);
     }
     return slot;
 }
@@ -182,8 +158,16 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
     QueueEntry &e = entries[static_cast<std::size_t>(slot)];
     if (!e.valid)
         panic("setAddress on an invalid queue slot");
-    if (e.isStore && e.addrKnown)
-        unindexStore(e, slot); // Re-addressing: replace the old entry.
+    if (e.isStore && e.addrKnown) {
+        filterStore(e, -1);  // Re-addressing: replace the old entry.
+        wakeWaitersOf(slot); // Its overlaps may have changed.
+    }
+    // A load bound to a fast-forward source ignores its own address
+    // until that store leaves; the store's cancel or release wakes it.
+    if (e.isLoad &&
+        !(loadWait[static_cast<std::size_t>(slot)].wait == Wait::Store &&
+          e.fastFwdSlot >= 0))
+        wake(slot);
     e.addr = addr;
     e.addrKnown = true;
     e.addrKnownAt = when;
@@ -191,8 +175,8 @@ MemQueue::setAddress(int slot, Addr addr, Cycle when, bool missteered)
         e.missteered = true;
         ++missteeredAccesses;
     }
-    if (e.isStore && !e.cancelled)
-        indexStore(e, slot);
+    if (e.isStore)
+        filterStore(e, +1);
     extEvent = std::min(extEvent, when);
 }
 
@@ -204,6 +188,7 @@ MemQueue::setStoreData(int slot, Cycle readyAt)
         panic("setStoreData on a non-store queue slot");
     e.dataReady = true;
     e.dataReadyAt = readyAt;
+    wakeWaitersOf(slot);
     extEvent = std::min(extEvent, readyAt);
 }
 
@@ -215,10 +200,14 @@ MemQueue::cancel(int slot)
         panic("cancel of an invalid queue slot");
     if (e.cancelled)
         return;
+    if (e.isStore)
+        filterStore(e, -1);
     e.cancelled = true;
     ++cancelledReplicas;
     if (e.isStore)
-        unindexStore(e, slot);
+        wakeWaitersOf(slot);
+    else
+        unschedule(slot);
     extEvent = 0; // Barrier and fast-forward waiters re-evaluate.
 }
 
@@ -254,14 +243,118 @@ MemQueue::tryCacheAccess(QueueEntry &e, int pos, Cycle now)
     return true;
 }
 
-bool
-MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
-                      InstSeq barrierSeq, Cycle barrierEvent,
-                      std::vector<LoadCompletion> &completions,
-                      TickInfo &info)
+void
+MemQueue::wake(int slot)
 {
-    auto wantEvent = [&info](Cycle c) {
-        info.nextEvent = std::min(info.nextEvent, c);
+    const QueueEntry &e = entries[static_cast<std::size_t>(slot)];
+    LoadWait &w = loadWait[static_cast<std::size_t>(slot)];
+    if (!e.isLoad || e.cancelled || e.issued || w.wait == Wait::Ready)
+        return;
+    unschedule(slot);
+    w.wait = Wait::Ready;
+    readyBits[static_cast<std::size_t>(slot) / 64] |=
+        std::uint64_t{1} << (slot % 64);
+}
+
+void
+MemQueue::wakeWaitersOf(int slot)
+{
+    std::vector<int> &waiters =
+        storeWaiters[static_cast<std::size_t>(slot)];
+    for (int load : waiters)
+        if (loadWait[static_cast<std::size_t>(load)].wait == Wait::Store)
+            wake(load);
+    waiters.clear();
+}
+
+void
+MemQueue::unschedule(int slot)
+{
+    auto word = static_cast<std::size_t>(slot) / 64;
+    std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    readyBits[word] &= ~bit;
+    if (barrierBits[word] & bit) {
+        barrierBits[word] &= ~bit;
+        --barrierParked;
+    }
+    loadWait[static_cast<std::size_t>(slot)] = LoadWait{};
+}
+
+void
+MemQueue::park(int slot, Wait w, Cycle at)
+{
+    unschedule(slot);
+    loadWait[static_cast<std::size_t>(slot)] = LoadWait{w, at};
+    if (w == Wait::Barrier) {
+        barrierBits[static_cast<std::size_t>(slot) / 64] |=
+            std::uint64_t{1} << (slot % 64);
+        ++barrierParked;
+    }
+    if (at != kNoEvent) {
+        timers.push_back(
+            {at, entries[static_cast<std::size_t>(slot)].seq, slot});
+        std::push_heap(timers.begin(), timers.end(), std::greater<>{});
+    }
+}
+
+void
+MemQueue::parkOnStore(int slot, int store, Cycle at)
+{
+    park(slot, Wait::Store, at);
+    storeWaiters[static_cast<std::size_t>(store)].push_back(slot);
+}
+
+bool
+MemQueue::live(const Timer &t) const
+{
+    const QueueEntry &e = entries[static_cast<std::size_t>(t.slot)];
+    const LoadWait &w = loadWait[static_cast<std::size_t>(t.slot)];
+    return e.valid && e.seq == t.seq && w.wakeAt == t.at &&
+           (w.wait == Wait::Timed || w.wait == Wait::Store);
+}
+
+template <class F>
+void
+MemQueue::forEachByAge(const std::vector<std::uint64_t> &bits, F &&f)
+{
+    // Slots [head, capacity) are older than slots [0, head). Each word
+    // is snapshot before its bits are visited: f may clear the bit it
+    // is given, and never touches another.
+    auto scan = [&](int lo, int hi) {
+        for (int base = lo & ~63; base < hi; base += 64) {
+            std::uint64_t word = bits[static_cast<std::size_t>(base) / 64];
+            if (lo > base)
+                word &= ~std::uint64_t{0} << (lo - base);
+            if (hi - base < 64)
+                word &= (std::uint64_t{1} << (hi - base)) - 1;
+            for (; word; word &= word - 1)
+                if (!f(base + std::countr_zero(word)))
+                    return false;
+        }
+        return true;
+    };
+    if (scan(head, capacity))
+        scan(0, head);
+}
+
+void
+MemQueue::processLoad(int slot, Cycle now, InstSeq barrierSeq,
+                      std::vector<LoadCompletion> &completions)
+{
+    QueueEntry &e = entries[static_cast<std::size_t>(slot)];
+    auto complete = [&](Cycle at, std::uint8_t kind) {
+        e.issued = true;
+        e.completed = true;
+        e.completeAt = at;
+        e.servedKind = kind;
+        e.servedAt = now;
+        completions.push_back({slot, e.robIdx, at});
+        unschedule(slot);
+    };
+    // Wait for store @p s's data: at its cycle once that is known, or
+    // earlier if anything else happens to the store.
+    auto awaitData = [&](const QueueEntry &s, int sSlot) {
+        parkOnStore(slot, sSlot, s.dataReady ? s.dataReadyAt : kNoEvent);
     };
 
     // --- Fast data forwarding: may complete before addresses. ---
@@ -270,20 +363,15 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
             entries[static_cast<std::size_t>(e.fastFwdSlot)];
         if (s.valid && s.seq == e.fastFwdSeq && !s.cancelled) {
             if (s.dataReady && s.dataReadyAt <= now) {
-                e.issued = true;
-                e.completed = true;
-                e.completeAt = now + policy.forwardLatency;
-                e.servedKind = QueueEntry::kServedFastForward;
-                e.servedAt = now;
                 ++loadsFastForwarded;
-                completions.push_back({slot, e.robIdx, e.completeAt});
-                return true;
+                complete(now + policy.forwardLatency,
+                         QueueEntry::kServedFastForward);
+            } else {
+                // Wait for the store's data; either way this load
+                // never consults the cache.
+                awaitData(s, e.fastFwdSlot);
             }
-            // Else: wait for the store's data; either way this load
-            // never consults the cache.
-            if (s.dataReady)
-                wantEvent(s.dataReadyAt);
-            return false;
+            return;
         }
         // The matched store left the queue (committed); its value is
         // in the cache now -- fall through to the normal path.
@@ -291,19 +379,17 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     }
 
     // --- Normal path: needs this load's address. ---
-    if (!e.addrKnown)
-        return false;
-    if (e.addrKnownAt > now) {
-        wantEvent(e.addrKnownAt);
-        return false;
+    if (!e.addrKnown) {
+        park(slot, Wait::None); // setAddress wakes it.
+        return;
     }
-
+    if (e.addrKnownAt > now) {
+        park(slot, Wait::Timed, e.addrKnownAt);
+        return;
+    }
     if (e.seq > barrierSeq) {
-        ++disambiguationStalls;
-        ++info.stalledLoads;
-        wantEvent(barrierEvent); // kNoEvent while the barrier store's
-                                 // address generation has not issued.
-        return false;
+        park(slot, Wait::Barrier); // Charged a stall every tick.
+        return;
     }
 
     // All older store addresses are known: the youngest overlapping
@@ -314,12 +400,14 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
     if (storeSlot >= 0) {
         QueueEntry &st = entries[static_cast<std::size_t>(storeSlot)];
         if (!st.committed) {
-            if (!e.coveredBy(st))
-                return false; // Partial overlap: wait for the commit.
+            if (!e.coveredBy(st)) {
+                // Partial overlap: wait for the store's commit.
+                parkOnStore(slot, storeSlot, kNoEvent);
+                return;
+            }
             if (!(st.dataReady && st.dataReadyAt <= now)) {
-                if (st.dataReady)
-                    wantEvent(st.dataReadyAt);
-                return false; // Wait for the store's data.
+                awaitData(st, storeSlot);
+                return;
             }
             // As in sim-outorder, a load satisfied by in-queue
             // forwarding still issues through a cache port; only the
@@ -331,34 +419,28 @@ MemQueue::processLoad(QueueEntry &e, int slot, Cycle now,
                 ++portDenials;
                 if (grant.bankConflict)
                     ++bankConflicts;
-                wantEvent(now + 1); // Ports reset next cycle.
-                return false;
+                return; // Stays ready: ports reset next cycle.
             }
-            e.issued = true;
-            e.completed = true;
-            e.completeAt = now + policy.forwardLatency;
-            e.servedKind = QueueEntry::kServedForward;
-            e.servedAt = now;
             e.combinedGrant = grant.combined;
             if (grant.combined)
                 ++combinedAccesses;
             else
-                scheduler.setGroupCompletion(grant.groupId,
-                                             e.completeAt);
+                scheduler.setGroupCompletion(
+                    grant.groupId, now + policy.forwardLatency);
             ++loadsForwarded;
-            completions.push_back({slot, e.robIdx, e.completeAt});
-            return true;
+            complete(now + policy.forwardLatency,
+                     QueueEntry::kServedForward);
+            return;
         }
         // Committed: the value is already in the cache.
     }
 
-    // Cache access, subject to port availability.
+    // Cache access, subject to port availability; a denied load stays
+    // ready (ports reset next cycle).
     if (tryCacheAccess(e, pos, now)) {
         completions.push_back({slot, e.robIdx, e.completeAt});
-        return true;
+        unschedule(slot);
     }
-    wantEvent(now + 1); // Ports reset next cycle.
-    return false;
 }
 
 void
@@ -395,25 +477,53 @@ MemQueue::tick(Cycle now, std::vector<LoadCompletion> &completions,
             barrierEvent = st.addrKnownAt;
     }
 
-    // Visit the pending loads oldest-first (preserving the port
-    // request order of the original walk), compacting out the ones
-    // that issued, completed, cancelled or left the queue.
-    TickInfo info;
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < pendingLoads.size(); ++i) {
-        auto [slot, seq] = pendingLoads[i];
-        QueueEntry &e = entries[static_cast<std::size_t>(slot)];
-        if (!e.valid || e.seq != seq || e.cancelled || e.issued ||
-            e.completed)
-            continue;
-        if (processLoad(e, slot, now, barrierSeq, barrierEvent,
-                        completions, info))
-            continue;
-        pendingLoads[keep++] = pendingLoads[i];
+    // Wake what became due: the parked loads the barrier no longer
+    // covers (the barrier only moves to younger stores), then the
+    // expired timers.
+    if (barrierParked != 0)
+        forEachByAge(barrierBits, [&](int slot) {
+            if (entries[static_cast<std::size_t>(slot)].seq > barrierSeq)
+                return false;
+            wake(slot);
+            return true;
+        });
+    while (!timers.empty() && timers.front().at <= now) {
+        Timer t = timers.front();
+        std::pop_heap(timers.begin(), timers.end(), std::greater<>{});
+        timers.pop_back();
+        if (live(t))
+            wake(t.slot);
     }
-    pendingLoads.resize(keep);
-    if (infoOut)
-        *infoOut = info;
+
+    // Examine the ready loads oldest-first: port requests keep the
+    // age order of the original walk, so combining groups and bank
+    // conflicts are unchanged.
+    forEachByAge(readyBits, [&](int slot) {
+        processLoad(slot, now, barrierSeq, completions);
+        return true;
+    });
+
+    // Every load parked behind the barrier stalls this cycle.
+    disambiguationStalls += barrierParked;
+
+    if (!infoOut)
+        return;
+    TickInfo info;
+    info.stalledLoads = barrierParked;
+    if (barrierParked != 0)
+        info.nextEvent = barrierEvent; // kNoEvent while the barrier
+                                       // store's address generation
+                                       // has not issued.
+    while (!timers.empty() && !live(timers.front())) {
+        std::pop_heap(timers.begin(), timers.end(), std::greater<>{});
+        timers.pop_back();
+    }
+    if (!timers.empty())
+        info.nextEvent = std::min(info.nextEvent, timers.front().at);
+    for (std::uint64_t w : readyBits)
+        if (w)
+            info.nextEvent = std::min(info.nextEvent, now + 1); // Ports.
+    *infoOut = info;
 }
 
 void
@@ -463,6 +573,7 @@ MemQueue::commitStore(int slot, Cycle now)
     e.servedKind = QueueEntry::kServedCache;
     e.servedAt = now;
     e.combinedGrant = grant.combined;
+    wakeWaitersOf(slot);
     extEvent = std::min(extEvent, now + 1); // Unblocks partial waits.
     return true;
 }
@@ -477,11 +588,13 @@ MemQueue::release(int slot)
         panic("queue entries must be released oldest-first "
               "(slot %d, head %d)", slot, head);
     if (e.isStore) {
-        if (!e.cancelled)
-            unindexStore(e, slot);
+        filterStore(e, -1);
+        wakeWaitersOf(slot); // Fast-forward waiters fall through.
         // Releases run oldest-first, so this store is the front.
-        if (!storesByAge.empty() && storesByAge.front().first == slot)
+        if (!storesByAge.empty() && storesByAge.front() == slot)
             storesByAge.pop_front();
+    } else {
+        unschedule(slot);
     }
     e.valid = false;
     head = (head + 1) % capacity;

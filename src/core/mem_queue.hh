@@ -16,21 +16,39 @@
  * optimizations: fast data forwarding (offset matching before address
  * generation) and access combining in the port scheduler.
  *
- * The implementation is indexed rather than scanned: tick() visits
- * only the resident loads (never stores or empty slots), the
- * conservative disambiguation barrier is the head of an age-ordered
- * deque of stores with still-unknown addresses, and the
- * youngest-older-store search runs against a per-8-byte-chunk store
- * index instead of re-walking all older entries per load per cycle.
- * The timing model is bit-identical to the original full scan.
+ * Load scheduling is event-driven, like the ROB's wakeup: a load is
+ * examined only in a tick where it can act. Every resident load that
+ * has not issued sits in exactly one place:
+ *  - the age-ordered ready set, while it can try to act this cycle
+ *    (a load denied a port stays there and retries every cycle);
+ *  - nowhere, until setAddress() delivers its own address;
+ *  - a timer, until its own address becomes effective (addrKnownAt);
+ *  - the barrier set, while an older store's address is unknown; the
+ *    oldest such store is the conservative disambiguation barrier,
+ *    and the barrier's advance in tick() releases the loads it passes;
+ *  - the waiter list of one older store: its fast-forward source, or
+ *    the youngest older overlapping store, whose data it awaits (also
+ *    on a timer once the data's cycle is known) or whose commit it
+ *    awaits (partial overlap); any change to that store -- data,
+ *    commit, cancel, release, re-address -- wakes it.
+ * A wake only makes a load re-examine itself, so a spurious wake is
+ * harmless and only a missed one could change timing. The timing
+ * model, and every counter, is bit-identical to the original scan
+ * that visited every resident load every cycle.
+ *
+ * Stores are not rescanned either: the barrier is the head of an
+ * age-ordered deque of stores with still-unknown addresses, and the
+ * youngest-older-store search walks the resident stores only when a
+ * counting filter over their 8-byte address chunks says one may
+ * overlap the load.
  */
 
 #ifndef DDSIM_CORE_MEM_QUEUE_HH_
 #define DDSIM_CORE_MEM_QUEUE_HH_
 
+#include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -77,8 +95,9 @@ class MemQueue : public stats::Group
      * progress that needs a new external push (setAddress,
      * setStoreData, commitStore, cancel) is reported through
      * takeExternalEvent() instead. stalledLoads counts the loads that
-     * took a disambiguation stall this tick; while the queue is left
-     * unticked every skipped cycle accrues the same stalls.
+     * took a disambiguation stall this tick (the loads parked behind
+     * the barrier); while the queue is left unticked every skipped
+     * cycle accrues the same stalls.
      */
     struct TickInfo
     {
@@ -127,8 +146,11 @@ class MemQueue : public stats::Group
 
     /**
      * Per-cycle load processing: issue eligible loads to the cache (or
-     * forward them) and report completions. Must be called once per
-     * cycle after stores have committed (stores get port priority).
+     * forward them) and report completions. Examines only the loads
+     * that can act (see the file comment) and charges one
+     * disambiguation stall per load parked behind the barrier. Called
+     * once per simulated cycle; skipTo() stands in for cycles the
+     * pipeline leaves unticked.
      */
     void tick(Cycle now, std::vector<LoadCompletion> &completions,
               TickInfo *info = nullptr);
@@ -189,8 +211,9 @@ class MemQueue : public stats::Group
     stats::Histogram occupancyHist;
 
   private:
-    /** Address chunks indexing the store-overlap search. */
+    /** Address chunks of the store-overlap filter. */
     static constexpr unsigned kChunkShift = 3;
+    static constexpr std::size_t kFilterSize = 1024;
 
     int capacity;
     mem::Cache *cache;
@@ -205,12 +228,6 @@ class MemQueue : public stats::Group
 
     // ---- Indexes (derived state; the entries array stays the truth).
     /**
-     * Resident loads in age order, identified by (slot, seq); entries
-     * whose load issued, completed, cancelled or released are dropped
-     * lazily during the tick walk.
-     */
-    std::vector<std::pair<int, InstSeq>> pendingLoads;
-    /**
      * Resident stores whose address was unknown as of the last tick,
      * in age order. The front (after popping resolved/cancelled/stale
      * heads) is the conservative disambiguation barrier: a load is
@@ -218,28 +235,59 @@ class MemQueue : public stats::Group
      */
     std::deque<std::pair<int, InstSeq>> noAddrStores;
     /**
-     * All resident stores in age order (cancelled ones included and
-     * skipped at use), for the fast-forward offset match at allocate.
+     * All resident stores' slots in age order (cancelled ones included
+     * and skipped at use), walked youngest-first by the fast-forward
+     * offset match at allocate and by youngestOlderStore().
      */
-    std::deque<std::pair<int, InstSeq>> storesByAge;
+    std::deque<int> storesByAge;
     /**
-     * Known-address, non-cancelled resident stores bucketed by the
-     * 8-byte chunks their bytes touch (an access spans at most two).
-     * Maintained eagerly by setAddress/cancel/release.
+     * Counting filter over the 8-byte address chunks touched by
+     * known-address, non-cancelled resident stores (an access spans
+     * at most two), hashed into kFilterSize buckets. A zero bucket
+     * proves that no such store overlaps a load there, so
+     * youngestOlderStore() walks storesByAge only when one might.
      */
-    std::unordered_map<Addr, std::vector<int>> chunkStores;
-    /** Scratch for the fast-forward candidate list (no per-call alloc). */
-    std::vector<int> ffScratch;
+    std::vector<std::uint32_t> chunkFilter;
+
+    // ---- Load scheduling (see the file comment).
+    /** Where a pending load waits. */
+    enum class Wait : std::uint8_t
+    {
+        None,    ///< For its own address (or not a pending load).
+        Ready,   ///< In readyBits.
+        Timed,   ///< For its own address's cycle, wakeAt.
+        Store,   ///< On storeWaiters[store] (and at wakeAt if known).
+        Barrier, ///< In barrierBits.
+    };
+    struct LoadWait
+    {
+        Wait wait = Wait::None;
+        Cycle wakeAt = kNoEvent;
+    };
+    /** A timer entry; stale once its load's LoadWait moved on. */
+    struct Timer
+    {
+        Cycle at;
+        InstSeq seq;
+        int slot;
+        bool operator>(const Timer &o) const { return at > o.at; }
+    };
+
+    std::vector<LoadWait> loadWait;     ///< Per slot.
+    std::vector<std::uint64_t> readyBits;   ///< One bit per slot.
+    std::vector<std::uint64_t> barrierBits; ///< One bit per slot.
+    std::uint64_t barrierParked = 0;    ///< Set bits in barrierBits.
+    std::vector<Timer> timers;          ///< Min-heap on Timer::at.
+    /** Per store slot: the loads parked on it (possibly stale). */
+    std::vector<std::vector<int>> storeWaiters;
 
     /** Earliest effect cycle of external pushes since last taken. */
     Cycle extEvent = kNoEvent;
 
     int positionOf(int slot) const;
 
-    /** Enter @p slot (a known-address store) into chunkStores. */
-    void indexStore(const QueueEntry &e, int slot);
-    /** Remove @p slot from chunkStores if present. */
-    void unindexStore(const QueueEntry &e, int slot);
+    /** Add @p delta for store @p e's chunks in chunkFilter. */
+    void filterStore(const QueueEntry &e, int delta);
     /**
      * Youngest store older than @p load overlapping its bytes, or -1.
      * Pre-condition (guaranteed by the disambiguation barrier): every
@@ -247,14 +295,29 @@ class MemQueue : public stats::Group
      */
     int youngestOlderStore(const QueueEntry &load) const;
 
+    /** Make pending load @p slot re-examine itself next tick. */
+    void wake(int slot);
+    /** Wake every load parked on store @p slot. */
+    void wakeWaitersOf(int slot);
+    /** Take @p slot out of the ready and barrier sets. */
+    void unschedule(int slot);
+    /** Park @p slot: in state @p w, with a timer at @p at if known. */
+    void park(int slot, Wait w, Cycle at = kNoEvent);
+    /** Park @p slot on store @p store's waiter list (and at @p at). */
+    void parkOnStore(int slot, int store, Cycle at);
+    /** Is @p t still the wake-up of the load it names? */
+    bool live(const Timer &t) const;
+    /** Call @p f(slot) on each set bit of @p bits, oldest first,
+     *  until it returns false. */
+    template <class F>
+    void forEachByAge(const std::vector<std::uint64_t> &bits, F &&f);
+
     /**
-     * One load's per-cycle processing (the body of the original full
-     * scan). @return true when the load left the pending set.
+     * Examine one ready load: complete it, leave it ready after a
+     * denied port, or park it on the one event it waits for.
      */
-    bool processLoad(QueueEntry &e, int slot, Cycle now,
-                     InstSeq barrierSeq, Cycle barrierEvent,
-                     std::vector<LoadCompletion> &completions,
-                     TickInfo &info);
+    void processLoad(int slot, Cycle now, InstSeq barrierSeq,
+                     std::vector<LoadCompletion> &completions);
 
     /** Issue one load to the cache via the port scheduler. */
     bool tryCacheAccess(QueueEntry &e, int pos, Cycle now);

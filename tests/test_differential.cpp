@@ -2,8 +2,9 @@
  * @file
  * Differential timing suite: every workload under five reference
  * machine configurations, asserted field-for-field against the pinned
- * SimResults in differential_baseline.inc (generated from the seed
- * timing model by tools/ddbaseline).
+ * SimResults in differential_baseline.inc and the pinned memory-queue
+ * counters in queue_counters_baseline.inc (both generated from the
+ * seed timing model by tools/ddbaseline).
  *
  * Any scheduling-core optimization — wakeup networks, indexed queues,
  * cycle skip-ahead, trace replay — must keep these numbers
@@ -17,7 +18,7 @@
 #include <map>
 #include <memory>
 
-#include "config/presets.hh"
+#include "differential_grid.hh"
 #include "sim/runner.hh"
 #include "vm/trace.hh"
 #include "workloads/common.hh"
@@ -55,23 +56,16 @@ const BaselineRow kBaseline[] = {
 #include "differential_baseline.inc"
 };
 
-/** Must stay in sync with diffConfig() in tools/ddbaseline.cc. */
-config::MachineConfig
-diffConfig(const std::string &name)
+struct CounterRow
 {
-    if (name == "base4")
-        return config::baseline(4);
-    if (name == "dec32")
-        return config::decoupled(3, 2);
-    if (name == "dec22")
-        return config::decoupled(2, 2);
-    if (name == "rep32") {
-        config::MachineConfig cfg = config::decoupled(3, 2);
-        cfg.classifier = config::ClassifierKind::Replicate;
-        return cfg;
-    }
-    return config::decoupledOptimized(3, 2);
-}
+    const char *workload;
+    const char *cfg;
+    const char *counters; ///< diffgrid::queueCounters() of the run.
+};
+
+const CounterRow kCounters[] = {
+#include "queue_counters_baseline.inc"
+};
 
 /** Workload programs built once and shared across all configs. */
 const prog::Program &
@@ -132,8 +126,8 @@ rowName(const ::testing::TestParamInfo<BaselineRow> &info)
 TEST_P(Differential, DirectRunMatchesSeedModel)
 {
     const BaselineRow &row = GetParam();
-    sim::SimResult r =
-        sim::run(programFor(row.workload), diffConfig(row.cfg));
+    sim::SimResult r = sim::run(programFor(row.workload),
+                                diffgrid::configFor(row.cfg));
     expectMatchesBaseline(r, row, "direct");
 }
 
@@ -145,7 +139,8 @@ TEST_P(Differential, TraceReplayMatchesSeedModel)
         vm::RecordedTrace::record(program));
     sim::RunOptions opts;
     opts.trace = trace;
-    sim::SimResult r = sim::run(program, diffConfig(row.cfg), opts);
+    sim::SimResult r =
+        sim::run(program, diffgrid::configFor(row.cfg), opts);
     expectMatchesBaseline(r, row, "trace-replay");
 }
 
@@ -160,8 +155,8 @@ TEST_P(Differential, ObservabilityOnMatchesSeedModel)
     opts.sampleInterval = 4096;
     opts.tracePath = ::testing::TempDir() + "diff_" + row.workload +
                      "_" + row.cfg + ".trace";
-    sim::SimResult r =
-        sim::run(programFor(row.workload), diffConfig(row.cfg), opts);
+    sim::SimResult r = sim::run(programFor(row.workload),
+                                diffgrid::configFor(row.cfg), opts);
     expectMatchesBaseline(r, row, "observability-on");
     EXPECT_FALSE(r.manifestJson.empty());
 }
@@ -184,10 +179,60 @@ TEST(DifferentialBatched, OneColumnPassMatchesSeedModel)
         std::vector<config::MachineConfig> cfgs;
         cfgs.reserve(rows.size());
         for (const BaselineRow *row : rows)
-            cfgs.push_back(diffConfig(row->cfg));
+            cfgs.push_back(diffgrid::configFor(row->cfg));
         std::vector<sim::SimResult> rs = sim::runBatch(program, cfgs);
         ASSERT_EQ(rs.size(), rows.size());
         for (std::size_t i = 0; i < rows.size(); ++i)
             expectMatchesBaseline(rs[i], *rows[i], "batched");
     }
 }
+
+namespace {
+
+/** " key=value" tokens of a queueCounters() line. */
+std::map<std::string, std::string>
+counterMap(const std::string &line)
+{
+    std::map<std::string, std::string> m;
+    std::size_t i = 0;
+    while ((i = line.find_first_not_of(' ', i)) != std::string::npos) {
+        std::size_t end = line.find(' ', i);
+        std::string tok = line.substr(i, end - i);
+        std::size_t eq = tok.find('=');
+        m[tok.substr(0, eq)] = tok.substr(eq + 1);
+        i = end;
+    }
+    return m;
+}
+
+class QueueCounters : public ::testing::TestWithParam<CounterRow>
+{};
+
+std::string
+counterRowName(const ::testing::TestParamInfo<CounterRow> &info)
+{
+    return std::string(info.param.workload) + "_" + info.param.cfg;
+}
+
+} // namespace
+
+TEST_P(QueueCounters, MatchSeedModel)
+{
+    // Cycle-identical runs can still move disambiguation stalls, port
+    // denials, bank conflicts, combining or queue occupancy between
+    // loads; every one of those counters is pinned here.
+    const CounterRow &row = GetParam();
+    std::map<std::string, std::string> got = counterMap(
+        diffgrid::queueCounters(programFor(row.workload), row.cfg));
+    std::map<std::string, std::string> want = counterMap(row.counters);
+    for (const auto &[key, value] : want) {
+        auto it = got.find(key);
+        EXPECT_EQ(it == got.end() ? "0" : it->second, value) << key;
+    }
+    for (const auto &[key, value] : got)
+        EXPECT_TRUE(want.count(key)) << key << "=" << value
+                                     << " is not pinned";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloadsAllConfigs, QueueCounters,
+                         ::testing::ValuesIn(kCounters), counterRowName);

@@ -2,18 +2,25 @@
  * @file
  * MemQueue tests: allocation/release discipline, disambiguation,
  * store-to-load forwarding, fast forwarding, port limits, combining
- * on the cache ports, and store commit behaviour.
+ * on the cache ports, and store commit behaviour; one test per wake
+ * reason of the event-driven load scheduler; and seeded random
+ * sequences checked cycle by cycle against a naive reference queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
 #include "config/machine_config.hh"
+#include "core/fast_forward.hh"
 #include "core/mem_queue.hh"
 #include "isa/regs.hh"
 #include "mem/cache.hh"
 #include "mem/main_memory.hh"
 #include "stats/group.hh"
 #include "util/log.hh"
+#include "util/rng.hh"
 
 using namespace ddsim;
 using namespace ddsim::core;
@@ -467,4 +474,731 @@ TEST(MemQueue, QueueSatisfiedFraction)
     r.tick(1);
     r.tick(2);
     EXPECT_DOUBLE_EQ(r.q.queueSatisfiedFrac(), 0.5);
+}
+
+// ---- Wake reasons: the event-driven queue examines a waiting load
+// only when the one thing it waits on resolves. Each test drives the
+// queue the way cpu::Pipeline does (tick, then skip to the reported
+// next event with skipTo) and pins the completion cycle, the next
+// event and the disambiguation stall count.
+
+namespace {
+
+/** Tick @p r at @p now and return the tick summary. */
+MemQueue::TickInfo
+tickInfo(Rig &r, Cycle now)
+{
+    MemQueue::TickInfo info;
+    r.done.clear();
+    r.q.tick(now, r.done, &info);
+    return info;
+}
+
+/** Leave the queue unticked through cycles (@p from, @p to). */
+void
+skipUntil(Rig &r, Cycle from, Cycle to, const MemQueue::TickInfo &info)
+{
+    r.q.skipTo(from, to - 1, info.stalledLoads);
+}
+
+} // namespace
+
+TEST(MemQueueWake, OwnAddressArrival)
+{
+    Rig r(basicPolicy());
+    int ld = r.addLoad();
+    EXPECT_EQ(tickInfo(r, 1).nextEvent, kNoEvent); // Awaits setAddress.
+    r.q.setAddress(ld, stackAddr, 5, false);
+    EXPECT_EQ(r.q.takeExternalEvent(), 5u);
+    MemQueue::TickInfo info = tickInfo(r, 2);
+    EXPECT_TRUE(r.done.empty());
+    EXPECT_EQ(info.nextEvent, 5u);
+    skipUntil(r, 2, 5, info);
+    tickInfo(r, 5);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].readyAt, 5u + 1u + 50u); // Cold miss.
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, BarrierStoreAddress)
+{
+    Rig r(basicPolicy());
+    int st = r.addStore();
+    int ld = r.addLoad(reg::sp, 64);
+    r.q.setAddress(ld, stackAddr + 64, 1, false);
+    MemQueue::TickInfo info = tickInfo(r, 1);
+    EXPECT_EQ(info.stalledLoads, 1u);
+    EXPECT_EQ(info.nextEvent, kNoEvent); // Store's AGU not issued.
+    tickInfo(r, 2);
+    r.q.setAddress(st, stackAddr, 6, false); // Disjoint.
+    info = tickInfo(r, 3);
+    EXPECT_EQ(info.stalledLoads, 1u);
+    EXPECT_EQ(info.nextEvent, 6u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 3u);
+    skipUntil(r, 3, 6, info); // Cycles 4 and 5 stall too.
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 5u);
+    info = tickInfo(r, 6);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 6u + 1u + 50u);
+    EXPECT_EQ(info.stalledLoads, 0u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 5u);
+}
+
+TEST(MemQueueWake, BarrierAdvancesStoreByStore)
+{
+    // Two unknown stores: resolving the older one moves the barrier
+    // to the younger one, and the load keeps stalling until both are
+    // known.
+    Rig r(basicPolicy());
+    int st0 = r.addStore();
+    int st1 = r.addStore(reg::sp, 8);
+    int ld = r.addLoad(reg::sp, 64);
+    r.q.setAddress(ld, stackAddr + 64, 1, false);
+    r.q.setAddress(st0, stackAddr, 2, false);
+    MemQueue::TickInfo info = tickInfo(r, 1);
+    EXPECT_EQ(info.nextEvent, 2u);
+    info = tickInfo(r, 2); // st0 known; st1 is the barrier now.
+    EXPECT_EQ(info.stalledLoads, 1u);
+    EXPECT_EQ(info.nextEvent, kNoEvent);
+    r.q.setAddress(st1, stackAddr + 8, 9, false);
+    info = tickInfo(r, 3);
+    EXPECT_EQ(info.nextEvent, 9u);
+    skipUntil(r, 3, 9, info);
+    tickInfo(r, 9);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 9u + 1u + 50u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 8u); // Cycles 1-8.
+}
+
+TEST(MemQueueWake, FastForwardStoreData)
+{
+    QueuePolicy p = basicPolicy();
+    p.fastForward = true;
+    Rig r(p);
+    int st = r.addStore(reg::sp, 8, 7);
+    int ld = r.addLoad(reg::sp, 8, 7);
+    EXPECT_EQ(tickInfo(r, 1).nextEvent, kNoEvent); // Data unknown.
+    r.q.setStoreData(st, 7);
+    EXPECT_EQ(r.q.takeExternalEvent(), 7u);
+    MemQueue::TickInfo info = tickInfo(r, 2);
+    EXPECT_EQ(info.nextEvent, 7u);
+    skipUntil(r, 2, 7, info);
+    tickInfo(r, 7);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 8u);
+    EXPECT_EQ(r.q.loadsFastForwarded.value(), 1u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, FastForwardIgnoresBarrier)
+{
+    // A fast-forwarded load never waits on disambiguation: an older
+    // store with an unknown address does not stall it.
+    QueuePolicy p = basicPolicy();
+    p.fastForward = true;
+    Rig r(p);
+    r.addStore(reg::t0, 0, 1); // Unknown address, other base.
+    int st = r.addStore(reg::sp, 8, 7);
+    r.addLoad(reg::sp, 8, 7);
+    r.q.setStoreData(st, 4);
+    MemQueue::TickInfo info = tickInfo(r, 1);
+    EXPECT_EQ(info.stalledLoads, 0u);
+    EXPECT_EQ(info.nextEvent, 4u);
+    skipUntil(r, 1, 4, info);
+    tickInfo(r, 4);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].readyAt, 5u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, ForwardingStoreData)
+{
+    Rig r(basicPolicy());
+    int st = r.addStore();
+    int ld = r.addLoad();
+    r.q.setAddress(st, stackAddr, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    EXPECT_EQ(tickInfo(r, 1).nextEvent, kNoEvent); // Data unknown.
+    r.q.setStoreData(st, 6);
+    MemQueue::TickInfo info = tickInfo(r, 2);
+    EXPECT_EQ(info.nextEvent, 6u);
+    skipUntil(r, 2, 6, info);
+    tickInfo(r, 6);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 7u);
+    EXPECT_EQ(r.q.loadsForwarded.value(), 1u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, PartialOverlapStoreCommit)
+{
+    Rig r(basicPolicy());
+    int st = r.addStore(reg::sp, 0, 1, 1); // Byte store...
+    int ld = r.addLoad(reg::sp, 0, 1, 4);  // ...inside a word load.
+    r.q.setAddress(st, stackAddr + 1, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    r.q.setStoreData(st, 1);
+    // The commit is an external push: no self-scheduled event.
+    MemQueue::TickInfo info = tickInfo(r, 1);
+    EXPECT_EQ(info.nextEvent, kNoEvent);
+    r.q.takeExternalEvent();
+    skipUntil(r, 1, 10, info);
+    ASSERT_TRUE(r.q.commitStore(st, 10)); // Write miss: line at 61.
+    EXPECT_EQ(r.q.takeExternalEvent(), 11u);
+    tickInfo(r, 11);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 61u); // Merges into the fill.
+    EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, PartialOverlapStoreCancel)
+{
+    // A Replicate cancel of the overlapping store releases the load to
+    // the cache at the next tick.
+    Rig r(basicPolicy());
+    int st = r.addStore(reg::sp, 0, 1, 1);
+    int ld = r.addLoad(reg::sp, 0, 1, 4);
+    r.q.setAddress(st, stackAddr + 1, 1, false);
+    r.q.setAddress(ld, stackAddr, 1, false);
+    MemQueue::TickInfo info = tickInfo(r, 1);
+    EXPECT_EQ(info.nextEvent, kNoEvent);
+    skipUntil(r, 1, 4, info);
+    r.q.cancel(st);
+    EXPECT_EQ(r.q.takeExternalEvent(), 0u);
+    tickInfo(r, 4);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 4u + 1u + 50u);
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+TEST(MemQueueWake, FastForwardStoreRelease)
+{
+    // The fast-forward source commits and leaves without its data ever
+    // arriving (the queue allows it; the pipeline never does it): the
+    // release wakes the load onto the normal path.
+    QueuePolicy p = basicPolicy();
+    p.fastForward = true;
+    Rig r(p);
+    int st = r.addStore(reg::sp, 8, 7);
+    int ld = r.addLoad(reg::sp, 8, 7);
+    r.q.setAddress(ld, stackAddr + 8, 1, false);
+    r.q.setAddress(st, stackAddr + 72, 1, false); // Another line.
+    EXPECT_EQ(tickInfo(r, 1).nextEvent, kNoEvent);
+    ASSERT_TRUE(r.q.commitStore(st, 1));
+    EXPECT_EQ(tickInfo(r, 2).nextEvent, kNoEvent); // Still bound.
+    EXPECT_TRUE(r.done.empty());
+    r.q.release(st);
+    tickInfo(r, 3);
+    ASSERT_EQ(r.done.size(), 1u);
+    EXPECT_EQ(r.done[0].slot, ld);
+    EXPECT_EQ(r.done[0].readyAt, 3u + 1u + 50u);
+    EXPECT_EQ(r.q.loadsFastForwarded.value(), 0u);
+    EXPECT_EQ(r.q.loadsFromCache.value(), 1u);
+}
+
+TEST(MemQueueWake, DeniedPortRetriesEveryCycle)
+{
+    Rig r(basicPolicy(1));
+    int a = r.addLoad(reg::sp, 0);
+    int b = r.addLoad(reg::sp, 64);
+    int c = r.addLoad(reg::sp, 128);
+    for (int s : {a, b, c})
+        r.q.setAddress(s, stackAddr + 64 * (s - a), 1, false);
+    for (Cycle now = 1; now <= 3; ++now) {
+        MemQueue::TickInfo info = tickInfo(r, now);
+        ASSERT_EQ(r.done.size(), 1u) << now;
+        EXPECT_EQ(r.done[0].slot, a + static_cast<int>(now) - 1);
+        EXPECT_EQ(r.done[0].readyAt, now + 1u + 50u);
+        EXPECT_EQ(info.nextEvent, now < 3 ? now + 1 : kNoEvent);
+    }
+    EXPECT_EQ(r.q.portDenials.value(), 3u); // b at 1, c at 1 and 2.
+    EXPECT_EQ(r.q.disambiguationStalls.value(), 0u);
+}
+
+// ---- Seeded random sequences against a naive reference queue that
+// visits every resident load every cycle and answers every question
+// by scanning the whole queue: the model the event-driven MemQueue
+// must reproduce completion for completion and counter for counter.
+
+namespace {
+
+/** The test-only naive model of one memory access queue. */
+class NaiveQueue
+{
+  public:
+    struct Counters
+    {
+        std::uint64_t allocated = 0, loads = 0, stores = 0,
+                      forwarded = 0, fastForwarded = 0, fromCache = 0,
+                      combined = 0, portDenials = 0, bankConflicts = 0,
+                      stalls = 0, missteered = 0, cancelled = 0;
+        std::vector<std::uint64_t> occupancySamples;
+    } c;
+
+    NaiveQueue(int size, mem::Cache *cache, mem::Cache *altCache,
+               const QueuePolicy &policy)
+        : capacity(size), cache(cache), altCache(altCache),
+          policy(policy), entries(static_cast<std::size_t>(size)),
+          scheduler(policy.ports, policy.combining,
+                    cache->params().lineBytes, policy.banks)
+    {}
+
+    int
+    allocate(InstSeq seq, int robIdx, bool isLoad, std::uint8_t size,
+             RegId base, std::int32_t offset, std::uint32_t version)
+    {
+        int slot = (head + count) % capacity;
+        ++count;
+        ++c.allocated;
+        QueueEntry &e = at(slot);
+        e = QueueEntry{};
+        e.valid = true;
+        e.seq = seq;
+        e.robIdx = robIdx;
+        e.isLoad = isLoad;
+        e.isStore = !isLoad;
+        e.size = size;
+        e.baseReg = base;
+        e.offset = offset;
+        e.baseVersion = version;
+        if (!isLoad) {
+            ++c.stores;
+            return slot;
+        }
+        ++c.loads;
+        if (policy.fastForward) {
+            std::vector<int> older; // Youngest first.
+            for (int p = count - 2; p >= 0; --p)
+                older.push_back((head + p) % capacity);
+            int match = findFastForwardStore(entries, older, e);
+            if (match >= 0) {
+                e.fastFwdSlot = match;
+                e.fastFwdSeq = at(match).seq;
+            }
+        }
+        return slot;
+    }
+
+    void
+    setAddress(int slot, Addr addr, Cycle when, bool missteered)
+    {
+        QueueEntry &e = at(slot);
+        e.addr = addr;
+        e.addrKnown = true;
+        e.addrKnownAt = when;
+        if (missteered) {
+            e.missteered = true;
+            ++c.missteered;
+        }
+    }
+
+    void
+    setStoreData(int slot, Cycle readyAt)
+    {
+        at(slot).dataReady = true;
+        at(slot).dataReadyAt = readyAt;
+    }
+
+    void
+    cancel(int slot)
+    {
+        if (!at(slot).cancelled)
+            ++c.cancelled;
+        at(slot).cancelled = true;
+    }
+
+    void
+    release(int slot)
+    {
+        at(slot).valid = false;
+        head = (head + 1) % capacity;
+        --count;
+    }
+
+    bool
+    commitStore(int slot, Cycle now)
+    {
+        scheduler.newCycle(now);
+        QueueEntry &e = at(slot);
+        if (e.committed || e.cancelled)
+            return true;
+        auto g = scheduler.request(e.addr, AccessKind::Store,
+                                   position(slot));
+        if (!deny(g)) {
+            if (g.combined) {
+                ++c.combined;
+            } else {
+                scheduler.setGroupCompletion(
+                    g.groupId, access(e, true, now));
+            }
+            e.committed = true;
+            return true;
+        }
+        return false;
+    }
+
+    /** One cycle: every resident load, oldest first. */
+    MemQueue::TickInfo
+    tick(Cycle now, std::vector<LoadCompletion> &done)
+    {
+        scheduler.newCycle(now);
+        if (now >= lastSampled + 64) {
+            c.occupancySamples.push_back(
+                static_cast<std::uint64_t>(count));
+            lastSampled = now;
+        }
+        MemQueue::TickInfo info;
+        auto want = [&info](Cycle t) {
+            info.nextEvent = std::min(info.nextEvent, t);
+        };
+        for (int p = 0; p < count; ++p) {
+            int slot = (head + p) % capacity;
+            QueueEntry &e = at(slot);
+            if (!e.isLoad || e.cancelled || e.issued)
+                continue;
+            if (e.fastFwdSlot >= 0) {
+                const QueueEntry &s = at(e.fastFwdSlot);
+                if (s.valid && s.seq == e.fastFwdSeq && !s.cancelled) {
+                    if (s.dataReady && s.dataReadyAt <= now) {
+                        ++c.fastForwarded;
+                        finish(e, slot, now + policy.forwardLatency, done);
+                    } else if (s.dataReady) {
+                        want(s.dataReadyAt);
+                    }
+                    continue;
+                }
+                e.fastFwdSlot = -1;
+            }
+            if (!e.addrKnown)
+                continue;
+            if (e.addrKnownAt > now) {
+                want(e.addrKnownAt);
+                continue;
+            }
+            // Disambiguation: every older live store's address must
+            // be known by now.
+            const QueueEntry *blocker = nullptr;
+            for (int q = 0; q < p && !blocker; ++q) {
+                const QueueEntry &s = at((head + q) % capacity);
+                if (s.isStore && !s.cancelled &&
+                    (!s.addrKnown || s.addrKnownAt > now))
+                    blocker = &s;
+            }
+            if (blocker) {
+                ++c.stalls;
+                ++info.stalledLoads;
+                if (blocker->addrKnown)
+                    want(blocker->addrKnownAt);
+                continue;
+            }
+            // The youngest older overlapping live store decides.
+            const QueueEntry *st = nullptr;
+            for (int q = p - 1; q >= 0 && !st; --q) {
+                const QueueEntry &s = at((head + q) % capacity);
+                if (s.isStore && !s.cancelled && s.size != 0 &&
+                    s.overlaps(e))
+                    st = &s;
+            }
+            if (st && !st->committed) {
+                if (!e.coveredBy(*st))
+                    continue;
+                if (!(st->dataReady && st->dataReadyAt <= now)) {
+                    if (st->dataReady)
+                        want(st->dataReadyAt);
+                    continue;
+                }
+                auto g = scheduler.request(e.addr, AccessKind::Forward, p);
+                if (deny(g)) {
+                    want(now + 1);
+                    continue;
+                }
+                Cycle readyAt = now + policy.forwardLatency;
+                if (g.combined)
+                    ++c.combined;
+                else
+                    scheduler.setGroupCompletion(g.groupId, readyAt);
+                ++c.forwarded;
+                finish(e, slot, readyAt, done);
+                continue;
+            }
+            auto g = scheduler.request(e.addr, AccessKind::Load, p);
+            if (deny(g)) {
+                want(now + 1);
+                continue;
+            }
+            Cycle readyAt;
+            if (g.combined) {
+                ++c.combined;
+                readyAt = scheduler.groupCompletion(g.groupId);
+            } else {
+                readyAt = access(e, false, now);
+                scheduler.setGroupCompletion(g.groupId, readyAt);
+            }
+            ++c.fromCache;
+            finish(e, slot, readyAt, done);
+        }
+        return info;
+    }
+
+    const QueueEntry &entry(int slot) const
+    {
+        return entries[static_cast<std::size_t>(slot)];
+    }
+
+  private:
+    int capacity;
+    mem::Cache *cache;
+    mem::Cache *altCache;
+    QueuePolicy policy;
+    std::vector<QueueEntry> entries;
+    PortScheduler scheduler;
+    int head = 0;
+    int count = 0;
+    Cycle lastSampled = 0;
+
+    QueueEntry &at(int slot)
+    {
+        return entries[static_cast<std::size_t>(slot)];
+    }
+    int position(int slot) const
+    {
+        return (slot - head + capacity) % capacity;
+    }
+    bool
+    deny(const PortScheduler::Grant &g)
+    {
+        if (g.granted)
+            return false;
+        ++c.portDenials;
+        if (g.bankConflict)
+            ++c.bankConflicts;
+        return true;
+    }
+    Cycle
+    access(const QueueEntry &e, bool write, Cycle now)
+    {
+        mem::Cache *target = e.missteered && altCache ? altCache : cache;
+        return target->access(
+            e.addr, write,
+            e.missteered ? now + policy.mispredictPenalty : now);
+    }
+    static void
+    finish(QueueEntry &e, int slot, Cycle readyAt,
+           std::vector<LoadCompletion> &done)
+    {
+        e.issued = true;
+        e.completed = true;
+        e.completeAt = readyAt;
+        done.push_back({slot, e.robIdx, readyAt});
+    }
+};
+
+/** The event-driven queue and the naive one, side by side. */
+struct Twin
+{
+    stats::Group root{nullptr, ""};
+    mem::MainMemory memA{&root, 20}, memB{&root, 20};
+    mem::Cache cacheA, altA, cacheB, altB;
+    MemQueue q;
+    NaiveQueue ref;
+
+    Twin(const QueuePolicy &p, int size, const config::CacheParams &cp)
+        : cacheA(&root, "ca", cp, &memA), altA(&root, "aa", cp, &memA),
+          cacheB(&root, "cb", cp, &memB), altB(&root, "ab", cp, &memB),
+          q(&root, "q", size, &cacheA, &altA, p),
+          ref(size, &cacheB, &altB, p)
+    {}
+
+    void
+    expectSameCounters(const std::string &where) const
+    {
+        SCOPED_TRACE(where);
+        const NaiveQueue::Counters &c = ref.c;
+        EXPECT_EQ(q.allocated.value(), c.allocated);
+        EXPECT_EQ(q.loadsTotal.value(), c.loads);
+        EXPECT_EQ(q.storesTotal.value(), c.stores);
+        EXPECT_EQ(q.loadsForwarded.value(), c.forwarded);
+        EXPECT_EQ(q.loadsFastForwarded.value(), c.fastForwarded);
+        EXPECT_EQ(q.loadsFromCache.value(), c.fromCache);
+        EXPECT_EQ(q.combinedAccesses.value(), c.combined);
+        EXPECT_EQ(q.portDenials.value(), c.portDenials);
+        EXPECT_EQ(q.bankConflicts.value(), c.bankConflicts);
+        EXPECT_EQ(q.disambiguationStalls.value(), c.stalls);
+        EXPECT_EQ(q.missteeredAccesses.value(), c.missteered);
+        EXPECT_EQ(q.cancelledReplicas.value(), c.cancelled);
+        ASSERT_EQ(q.occupancyHist.samples(), c.occupancySamples.size());
+        std::vector<std::uint64_t> buckets(
+            static_cast<std::size_t>(q.occupancyHist.numBuckets()), 0);
+        for (std::uint64_t v : c.occupancySamples)
+            ++buckets.at(v);
+        for (int i = 0; i < q.occupancyHist.numBuckets(); ++i)
+            EXPECT_EQ(q.occupancyHist.bucket(i),
+                      buckets[static_cast<std::size_t>(i)])
+                << "occupancy bucket " << i;
+        EXPECT_EQ(cacheA.accesses.value(), cacheB.accesses.value());
+        EXPECT_EQ(altA.accesses.value(), altB.accesses.value());
+    }
+};
+
+/** One random scenario; adds the loads it completed to @p completed. */
+void
+runRandomScenario(std::uint64_t seed, std::uint64_t &completed)
+{
+    Rng rng(seed);
+    auto pick = [&rng](int n) {
+        return static_cast<int>(rng.next() % static_cast<unsigned>(n));
+    };
+    QueuePolicy p;
+    p.ports = 1 + pick(3);
+    p.combining = 1 + pick(3);
+    p.banks = pick(3) == 0 ? 2 << pick(2) : 0;
+    p.fastForward = pick(2) == 0;
+    p.forwardLatency = 1 + static_cast<Cycle>(pick(2));
+    p.mispredictPenalty = static_cast<Cycle>(pick(6));
+    int size = 4 + pick(29);
+    config::CacheParams cp{1024, 2, 32, 1 + static_cast<Cycle>(pick(2)),
+                           p.ports};
+    cp.banks = p.banks;
+    Twin t(p, size, cp);
+    SCOPED_TRACE("seed " + std::to_string(seed) + " ports " +
+                 std::to_string(p.ports) + " C " +
+                 std::to_string(p.combining) + " banks " +
+                 std::to_string(p.banks) + " ff " +
+                 std::to_string(p.fastForward) + " size " +
+                 std::to_string(size));
+
+    struct Op
+    {
+        int slot;
+        bool isLoad;
+        Addr addr;
+        bool addrSent = false;
+        bool dataSent = false;
+    };
+    std::deque<Op> ops; // Resident, oldest first.
+    InstSeq nextSeq = 0;
+    std::vector<LoadCompletion> doneA, doneB;
+    const RegId bases[] = {reg::sp, reg::t0};
+
+    for (Cycle now = 1; now < 3000; ++now) {
+        // Memory stage.
+        doneA.clear();
+        doneB.clear();
+        MemQueue::TickInfo info;
+        t.q.tick(now, doneA, &info);
+        MemQueue::TickInfo refInfo = t.ref.tick(now, doneB);
+        ASSERT_EQ(doneA.size(), doneB.size()) << "cycle " << now;
+        for (std::size_t i = 0; i < doneA.size(); ++i) {
+            EXPECT_EQ(doneA[i].slot, doneB[i].slot) << "cycle " << now;
+            EXPECT_EQ(doneA[i].readyAt, doneB[i].readyAt)
+                << "cycle " << now;
+        }
+        ASSERT_EQ(info.nextEvent, refInfo.nextEvent) << "cycle " << now;
+        ASSERT_EQ(info.stalledLoads, refInfo.stalledLoads)
+            << "cycle " << now;
+        completed += doneA.size();
+
+        // Commit stage: retire finished heads, oldest first.
+        for (int k = 0; k < 2 && !ops.empty(); ++k) {
+            const Op &h = ops.front();
+            const QueueEntry &e = t.q.entry(h.slot);
+            if (h.isLoad) {
+                if (!e.cancelled && !(e.completed && e.completeAt <= now))
+                    break;
+            } else if (!e.cancelled) {
+                if (!(e.addrKnown && e.addrKnownAt <= now &&
+                      e.dataReady && e.dataReadyAt <= now))
+                    break;
+                bool a = t.q.commitStore(h.slot, now);
+                ASSERT_EQ(a, t.ref.commitStore(h.slot, now));
+                if (!a)
+                    break;
+            }
+            t.q.release(h.slot);
+            t.ref.release(h.slot);
+            ops.pop_front();
+        }
+
+        // Issue stage: addresses, store data, Replicate cancels.
+        for (Op &o : ops) {
+            const QueueEntry &e = t.q.entry(o.slot);
+            if (e.cancelled || e.completed)
+                continue;
+            if (!o.addrSent && pick(4) == 0) {
+                bool miss = pick(10) == 0;
+                Cycle when = now + 1 + static_cast<Cycle>(pick(3));
+                t.q.setAddress(o.slot, o.addr, when, miss);
+                t.ref.setAddress(o.slot, o.addr, when, miss);
+                o.addrSent = true;
+            }
+            if (!o.isLoad && !o.dataSent && pick(5) == 0) {
+                Cycle at = now + static_cast<Cycle>(pick(6)) - 1;
+                t.q.setStoreData(o.slot, at);
+                t.ref.setStoreData(o.slot, at);
+                o.dataSent = true;
+            }
+            if (!e.committed && pick(60) == 0) {
+                t.q.cancel(o.slot);
+                t.ref.cancel(o.slot);
+            }
+        }
+
+        // Dispatch: same-base accesses at a few frame offsets, so
+        // fast forwarding, forwarding and partial overlaps all occur.
+        for (int k = pick(3); k > 0 && t.q.occupancy() < size; --k) {
+            bool isLoad = pick(5) < 3;
+            RegId base = bases[pick(4) == 0 ? 1 : 0];
+            auto off = static_cast<std::int32_t>(4 * pick(6));
+            std::uint8_t width = pick(4) == 0 ? 1 : 4;
+            Addr addr = stackAddr + (base == reg::sp ? 0 : 4096) +
+                        static_cast<Addr>(off) + (width == 1 ? 1 : 0);
+            auto version = static_cast<std::uint32_t>(now / 40);
+            InstSeq seq = nextSeq++;
+            int a = t.q.allocate(seq, static_cast<int>(seq), isLoad,
+                                 width, base, off, version);
+            int b = t.ref.allocate(seq, static_cast<int>(seq), isLoad,
+                                   width, base, off, version);
+            ASSERT_EQ(a, b);
+            ASSERT_EQ(t.q.entry(a).fastFwdSlot, t.ref.entry(b).fastFwdSlot);
+            ops.push_back({a, isLoad, addr});
+        }
+
+        // Sometimes leave the queue unticked up to its next event,
+        // as the pipeline's skip-ahead does, while the reference
+        // keeps ticking every cycle.
+        Cycle ext = t.q.takeExternalEvent();
+        Cycle target = std::min(info.nextEvent, ext);
+        if (pick(3) == 0 && target > now + 1 && target != kNoEvent &&
+            target - now < 200) {
+            t.q.skipTo(now, target - 1, info.stalledLoads);
+            for (Cycle c = now + 1; c < target; ++c) {
+                doneB.clear();
+                t.ref.tick(c, doneB);
+                ASSERT_TRUE(doneB.empty()) << "skipped cycle " << c;
+            }
+            now = target - 1;
+        }
+    }
+    t.expectSameCounters("end");
+}
+
+} // namespace
+
+TEST(MemQueueRandom, MatchesNaiveReferenceEveryCycle)
+{
+    std::uint64_t completed = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        runRandomScenario(seed, completed);
+        if (::testing::Test::HasFatalFailure() ||
+            ::testing::Test::HasFailure())
+            break;
+    }
+    EXPECT_GT(completed, 10000u); // The scenarios do real work.
 }

@@ -1,95 +1,94 @@
 /**
  * @file
  * Differential-baseline generator: runs every workload under the five
- * reference machine configurations and prints the resulting SimResult
- * fields as a C++ table (tests/differential_baseline.inc).
- *
- * The table pins the timing semantics of the simulator: the
- * differential suite (tests/test_differential.cpp) asserts that every
- * run — direct, trace-replayed, or swept — reproduces these numbers
- * field-for-field. Regenerate (and review the diff!) only for an
- * intentional timing change:
+ * reference machine configurations (tests/differential_grid.hh) and
+ * prints the pinned tables of the differential suite
+ * (tests/test_differential.cpp):
  *
  *   build/tools/ddbaseline > tests/differential_baseline.inc
+ *   build/tools/ddbaseline --counters \
+ *       > tests/queue_counters_baseline.inc
+ *
+ * The first table pins the SimResult fields of every run; the second
+ * pins every integer counter of the LSQ and LVAQ stats groups plus
+ * the pipeline's queue-facing stall counters. Every run — direct,
+ * trace-replayed, or swept — must reproduce them field-for-field.
+ * Regenerate (and review the diff!) only for an intentional timing
+ * change.
  */
 
 #include <chrono>
 #include <cstdio>
 
-#include "config/presets.hh"
+#include "config/cli.hh"
+#include "differential_grid.hh"
 #include "sim/runner.hh"
+#include "util/main_guard.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
 
 namespace {
 
-/**
- * The five reference configurations of the differential suite. Must
- * stay in sync with diffConfig() in tests/test_differential.cpp.
- */
-config::MachineConfig
-diffConfig(const std::string &name)
+void
+printResultRow(const char *workload, const char *cfgName,
+               const sim::SimResult &r)
 {
-    if (name == "base4")
-        return config::baseline(4);
-    if (name == "dec32")
-        return config::decoupled(3, 2);
-    if (name == "dec22")
-        return config::decoupled(2, 2);
-    if (name == "rep32") {
-        config::MachineConfig cfg = config::decoupled(3, 2);
-        cfg.classifier = config::ClassifierKind::Replicate;
-        return cfg;
-    }
-    // fast forwarding + 2-way combining
-    return config::decoupledOptimized(3, 2);
+    std::printf(
+        "{\"%s\", \"%s\", %lluu, %lluu, %lluu, %lluu, %lluu, "
+        "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, "
+        "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %.17g},\n",
+        workload, cfgName, (unsigned long long)r.cycles,
+        (unsigned long long)r.committed, (unsigned long long)r.loads,
+        (unsigned long long)r.stores, (unsigned long long)r.localLoads,
+        (unsigned long long)r.localStores,
+        (unsigned long long)r.l1Accesses,
+        (unsigned long long)r.l1Misses,
+        (unsigned long long)r.lvcAccesses,
+        (unsigned long long)r.lvcMisses,
+        (unsigned long long)r.l2Accesses,
+        (unsigned long long)r.memAccesses,
+        (unsigned long long)r.lsqForwards,
+        (unsigned long long)r.lvaqForwards,
+        (unsigned long long)r.lvaqFastForwards,
+        (unsigned long long)r.lvaqCombined,
+        (unsigned long long)r.lvaqLoads,
+        (unsigned long long)r.missteered, r.meanDynFrameWords);
 }
 
-} // namespace
+void
+printCounterRow(const char *workload, const char *cfgName,
+                const prog::Program &program)
+{
+    std::printf("{\"%s\", \"%s\",\n \"%s\"},\n", workload, cfgName,
+                diffgrid::queueCounters(program, cfgName).c_str());
+}
 
 int
-main()
+runMain(int argc, char **argv)
 {
-    const char *configs[] = {"base4", "dec32", "dec22", "rep32",
-                             "opt32"};
+    config::CliArgs args(argc, argv);
+    bool counters = args.getBool("counters");
+    args.rejectUnknown();
 
-    std::printf("// Generated by tools/ddbaseline — do not edit.\n");
-    std::printf("// Pinned SimResults of the seed timing model; see "
-                "file header of ddbaseline.cc.\n");
+    std::printf("// Generated by tools/ddbaseline%s — do not edit.\n",
+                counters ? " --counters" : "");
+    std::printf("// Pinned %s of the seed timing model; see file "
+                "header of ddbaseline.cc.\n",
+                counters ? "memory-queue counters" : "SimResults");
 
     auto t0 = std::chrono::steady_clock::now();
     for (const workloads::WorkloadInfo &w : workloads::all()) {
         workloads::WorkloadParams p;
         p.scale = w.defaultScale / 8;
         prog::Program program = workloads::build(w.name, p);
-        for (const char *cfgName : configs) {
-            sim::SimResult r =
-                sim::run(program, diffConfig(cfgName));
-            std::printf(
-                "{\"%s\", \"%s\", %lluu, %lluu, %lluu, %lluu, %lluu, "
-                "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %lluu, "
-                "%lluu, %lluu, %lluu, %lluu, %lluu, %lluu, %.17g},\n",
-                w.name, cfgName,
-                (unsigned long long)r.cycles,
-                (unsigned long long)r.committed,
-                (unsigned long long)r.loads,
-                (unsigned long long)r.stores,
-                (unsigned long long)r.localLoads,
-                (unsigned long long)r.localStores,
-                (unsigned long long)r.l1Accesses,
-                (unsigned long long)r.l1Misses,
-                (unsigned long long)r.lvcAccesses,
-                (unsigned long long)r.lvcMisses,
-                (unsigned long long)r.l2Accesses,
-                (unsigned long long)r.memAccesses,
-                (unsigned long long)r.lsqForwards,
-                (unsigned long long)r.lvaqForwards,
-                (unsigned long long)r.lvaqFastForwards,
-                (unsigned long long)r.lvaqCombined,
-                (unsigned long long)r.lvaqLoads,
-                (unsigned long long)r.missteered,
-                r.meanDynFrameWords);
+        for (const char *cfgName : diffgrid::kConfigs) {
+            if (counters)
+                printCounterRow(w.name, cfgName, program);
+            else
+                printResultRow(w.name, cfgName,
+                               sim::run(program,
+                                        diffgrid::configFor(cfgName)));
         }
     }
     auto t1 = std::chrono::steady_clock::now();
@@ -97,4 +96,12 @@ main()
                  (long long)std::chrono::duration_cast<
                      std::chrono::milliseconds>(t1 - t0).count());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

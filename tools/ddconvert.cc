@@ -30,6 +30,7 @@
 
 #include "config/cli.hh"
 #include "util/log.hh"
+#include "util/main_guard.hh"
 #include "util/str.hh"
 #include "vm/convert.hh"
 #include "vm/xtrace.hh"
@@ -76,8 +77,10 @@ printInfo(const vm::ExternalTrace &xt)
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     bool info = args.getBool("info");
@@ -155,4 +158,12 @@ main(int argc, char **argv)
                 xt->annotation().localPcs, xt->annotation().nonLocalPcs,
                 xt->annotation().ambiguousPcs);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

@@ -24,6 +24,7 @@
 #include "config/cli.hh"
 #include "prog/asm_parser.hh"
 #include "util/log.hh"
+#include "util/main_guard.hh"
 #include "workloads/common.hh"
 
 using namespace ddsim;
@@ -55,8 +56,10 @@ emit(analysis::AnalysisResult res, const std::string &fmt,
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     std::string fmt = args.get("format", "text");
@@ -140,4 +143,12 @@ main(int argc, char **argv)
                     "%zu warning(s)\n",
                     totals.programs, totals.errors, totals.warnings);
     return totals.errors > 0 ? 1 : 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

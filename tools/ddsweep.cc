@@ -70,6 +70,7 @@
 #include "util/error.hh"
 #include "util/file_claim.hh"
 #include "util/log.hh"
+#include "util/main_guard.hh"
 #include "util/str.hh"
 #include "util/subprocess.hh"
 
@@ -411,42 +412,45 @@ cmdStatus(const config::CliArgs &args)
 
 } // namespace
 
+namespace {
+
+int
+runMain(int argc, char **argv)
+{
+    config::CliArgs args(argc, argv);
+    if (args.positional().size() != 1)
+        fatal("usage: ddsweep "
+              "spool|run|resume|worker|merge|serial|status "
+              "[options] (see docs/FARM.md)");
+    const std::string &cmd = args.positional()[0];
+
+    // Injection applies to whichever command runs simulations in
+    // this process (worker, serial); elsewhere the flags are
+    // accepted and forwarded.
+    Injection injection;
+    injection.install(args);
+
+    if (cmd == "spool")
+        return cmdSpool(args);
+    if (cmd == "run")
+        return cmdRun(args, argv[0]);
+    if (cmd == "resume")
+        return cmdResume(args, argv[0]);
+    if (cmd == "worker")
+        return cmdWorker(args);
+    if (cmd == "merge")
+        return cmdMerge(args);
+    if (cmd == "serial")
+        return cmdSerial(args);
+    if (cmd == "status")
+        return cmdStatus(args);
+    fatal("ddsweep: unknown command '%s'", cmd.c_str());
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    try {
-        config::CliArgs args(argc, argv);
-        if (args.positional().size() != 1)
-            fatal("usage: ddsweep "
-                  "spool|run|resume|worker|merge|serial|status "
-                  "[options] (see docs/FARM.md)");
-        const std::string &cmd = args.positional()[0];
-
-        // Injection applies to whichever command runs simulations in
-        // this process (worker, serial); elsewhere the flags are
-        // accepted and forwarded.
-        Injection injection;
-        injection.install(args);
-
-        if (cmd == "spool")
-            return cmdSpool(args);
-        if (cmd == "run")
-            return cmdRun(args, argv[0]);
-        if (cmd == "resume")
-            return cmdResume(args, argv[0]);
-        if (cmd == "worker")
-            return cmdWorker(args);
-        if (cmd == "merge")
-            return cmdMerge(args);
-        if (cmd == "serial")
-            return cmdSerial(args);
-        if (cmd == "status")
-            return cmdStatus(args);
-        fatal("ddsweep: unknown command '%s'", cmd.c_str());
-    } catch (const std::exception &e) {
-        // fatal()/raise() already printed the message; anything else
-        // still deserves a line before the nonzero exit.
-        std::fprintf(stderr, "ddsweep: failed: %s\n", e.what());
-        return 2;
-    }
+    return guardedMain(argc, argv, runMain);
 }

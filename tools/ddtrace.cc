@@ -29,6 +29,7 @@
 #include "config/cli.hh"
 #include "obs/pipeline_trace.hh"
 #include "util/log.hh"
+#include "util/main_guard.hh"
 #include "util/str.hh"
 
 using namespace ddsim;
@@ -172,8 +173,10 @@ struct Segment
 
 } // namespace
 
+namespace {
+
 int
-main(int argc, char **argv)
+runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     bool dump = args.getBool("dump");
@@ -316,4 +319,12 @@ main(int argc, char **argv)
                     s.insts);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return guardedMain(argc, argv, runMain);
 }

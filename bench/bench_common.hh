@@ -22,13 +22,12 @@
  *   --cycle-budget=<n>  per-run simulated-cycle budget (0 = unlimited)
  *   --wall-budget=<s>   per-run wall-clock budget in seconds (0 = off)
  *   --engine=<e>     execution engine for every job: auto (default),
- *                    live, replay, batched (one trace pass per sweep
- *                    column, bit-identical) or sampled (SMARTS interval
+ *                    live, replay or sampled (SMARTS interval
  *                    sampling; IPC becomes an estimate with error bars)
  *   --trace-in=a,b   ingest ddsim-xtrace-v1 files as additional
  *                    programs: each trace joins the grid exactly like
- *                    a registry workload (replay/batched/sampled
- *                    engines, --emit-grid, manifests), driven by its
+ *                    a registry workload (replay/sampled engines,
+ *                    --emit-grid, manifests), driven by its
  *                    recorded stream. Incompatible with --engine=live
  *                    (a trace has nothing to execute functionally)
  *   --sample-period=<n> --sample-detail=<n> --sample-warmup=<n>

@@ -137,32 +137,6 @@ timedRate(const prog::Program &program,
     return static_cast<double>(insts) / elapsed / 1e6;
 }
 
-/**
- * Like timedRate, but each repetition is one runBatch() pass over a
- * whole config column; the rate aggregates every lane's committed
- * instructions (the decode pass is shared, which is the point).
- */
-double
-timedBatchRate(const prog::Program &program,
-               const std::vector<config::MachineConfig> &cfgs,
-               double minSec)
-{
-    using clock = std::chrono::steady_clock;
-    std::uint64_t insts = 0;
-    double elapsed = 0.0;
-    int reps = 0;
-    while (elapsed < minSec || reps < 2) {
-        auto t0 = clock::now();
-        std::vector<sim::SimResult> rs = sim::runBatch(program, cfgs);
-        elapsed +=
-            std::chrono::duration<double>(clock::now() - t0).count();
-        for (const sim::SimResult &r : rs)
-            insts += r.committed;
-        ++reps;
-    }
-    return static_cast<double>(insts) / elapsed / 1e6;
-}
-
 /** One engine variant of the Fig. 7 sweep-grid measurement. */
 struct SweepRow
 {
@@ -176,10 +150,9 @@ struct SweepRow
  * The full Fig. 7 grid (per program: (2+0) base + 3x5 (N+M) matrix)
  * at one worker, traces shared per program, under the given engine.
  * Auto is the committed schema-1 measurement (per-point shared-trace
- * replay); Batched folds each program's column into one decode pass;
- * Sampled runs the default SMARTS plan (IPC becomes an estimate, and
- * committed still counts the whole program, so the rate stays
- * comparable).
+ * replay); Sampled runs the default SMARTS plan (IPC becomes an
+ * estimate, and committed still counts the whole program, so the rate
+ * stays comparable).
  */
 SweepRow
 fig7Sweep(const char *label, sim::Engine engine)
@@ -223,7 +196,7 @@ fig7Sweep(const char *label, sim::Engine engine)
 /**
  * The acceptance metrics of the engine stack, plus context:
  * per-workload single-run throughput (live execution, shared-trace
- * replay, one batched column, one sampled run) and the wall clock of
+ * replay, one sampled run) and the wall clock of
  * the full Fig. 7 (N+M) sweep grid at --jobs=1 under each engine.
  */
 int
@@ -264,17 +237,6 @@ writeJson(const char *path)
              "decoupledOptimized(3,2)", "replay",
              timedRate(li, config::decoupledOptimized(3, 2),
                        replayOpts, minSec)});
-        // One Fig. 7 column (N=3, every M) through one decode pass.
-        singles.push_back(
-            {"fig7col_li_batched", "li", "fig7 N=3 column (5 configs)",
-             "batched",
-             timedBatchRate(li,
-                            {config::baseline(3),
-                             config::decoupled(3, 1),
-                             config::decoupled(3, 2),
-                             config::decoupled(3, 3),
-                             config::decoupled(3, 16)},
-                            minSec)});
         sim::RunOptions sampledOpts;
         sampledOpts.engine = sim::Engine::Sampled;
         singles.push_back(
@@ -303,7 +265,6 @@ writeJson(const char *path)
     // schema-1 measurement under its historical key.
     std::vector<SweepRow> sweeps;
     sweeps.push_back(fig7Sweep("replay", sim::Engine::Auto));
-    sweeps.push_back(fig7Sweep("batched", sim::Engine::Batched));
     sweeps.push_back(fig7Sweep("sampled", sim::Engine::Sampled));
 
     std::FILE *f = std::fopen(path, "w");

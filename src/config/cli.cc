@@ -1,6 +1,5 @@
 #include "config/cli.hh"
 
-#include <algorithm>
 #include <limits>
 
 #include "util/error.hh"
@@ -151,30 +150,6 @@ CliArgs::markKnown(const std::string &key) const
 {
     knownKeys.insert(key);
 }
-
-namespace {
-
-/** Plain Levenshtein distance, for did-you-mean suggestions. */
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t prev = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            std::size_t cur = row[j];
-            std::size_t sub = prev + (a[i - 1] == b[j - 1] ? 0 : 1);
-            row[j] = std::min({row[j] + 1, row[j - 1] + 1, sub});
-            prev = cur;
-        }
-    }
-    return row[b.size()];
-}
-
-} // namespace
 
 void
 CliArgs::rejectUnknown() const

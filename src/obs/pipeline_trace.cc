@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "util/log.hh"
+#include "util/varint.hh"
 
 namespace ddsim::obs {
 
@@ -139,21 +140,6 @@ PipelineTracer::~PipelineTracer()
 }
 
 void
-PipelineTracer::putVarint(std::uint64_t v)
-{
-    char buf[10];
-    int n = 0;
-    do {
-        char byte = static_cast<char>(v & 0x7f);
-        v >>= 7;
-        if (v)
-            byte |= static_cast<char>(0x80);
-        buf[n++] = byte;
-    } while (v);
-    os.write(buf, n);
-}
-
-void
 PipelineTracer::onDispatch(int robIdx, std::uint64_t seq,
                            std::uint64_t cycle)
 {
@@ -180,9 +166,9 @@ PipelineTracer::onCommit(int robIdx, TraceRecord rec)
     }
     // else: dispatched before the tracer attached; leave unknown.
 
-    putVarint(rec.seq - prevSeq);
+    putVarint(os, rec.seq - prevSeq);
     prevSeq = rec.seq;
-    putVarint(rec.pcIdx);
+    putVarint(os, rec.pcIdx);
     std::uint8_t flags = 0;
     flags |= rec.isLoad ? 0x01 : 0;
     flags |= rec.isStore ? 0x02 : 0;
@@ -193,14 +179,14 @@ PipelineTracer::onCommit(int robIdx, TraceRecord rec)
     flags |= rec.combined ? 0x40 : 0;
     flags |= rec.missteered ? 0x80 : 0;
     os.put(static_cast<char>(flags));
-    putVarint(rec.commitCycle - prevCommit);
+    putVarint(os, rec.commitCycle - prevCommit);
     prevCommit = rec.commitCycle;
-    putVarint(encodeBack(rec.commitCycle, rec.fetchCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.dispatchCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.queueCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.issueCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.accessCycle));
-    putVarint(encodeBack(rec.commitCycle, rec.wbCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.fetchCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.dispatchCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.queueCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.issueCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.accessCycle));
+    putVarint(os, encodeBack(rec.commitCycle, rec.wbCycle));
     ++numRecords;
 }
 
@@ -275,20 +261,11 @@ TraceReader::TraceReader(const std::string &path)
 bool
 TraceReader::getVarint(std::uint64_t &v)
 {
-    v = 0;
-    int shift = 0;
-    while (true) {
-        int c = is.get();
-        if (c == std::char_traits<char>::eof())
-            return false;
-        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-        if (!(c & 0x80))
-            return true;
-        shift += 7;
-        if (shift >= 64)
-            corrupt(offset(),
-                    "malformed varint (continuation past 64 bits)");
-    }
+    const VarintStatus st =
+        ddsim::getVarint([this] { return is.get(); }, v);
+    if (st == VarintStatus::Overflow)
+        corrupt(offset(), "malformed varint (overflows 64 bits)");
+    return st == VarintStatus::Ok;
 }
 
 bool

@@ -151,8 +151,6 @@ class PipelineTracer
     std::uint64_t prevSeq = 0;
     std::streampos countPos;
     bool finished = false;
-
-    void putVarint(std::uint64_t v);
 };
 
 /** Header fields of a trace file. */

@@ -556,26 +556,10 @@ spoolGrid(const GridSpec &spec, const std::string &root, int numShards)
     }
 
     spec.writeFile(sp.gridPath());
-    // Batched points shard by column (program), not by id: a column
-    // split across shards would land on different workers and lose
-    // the shared trace pass. Sharding is still only a locality hint —
-    // stealing and the worker-side column claim keep correctness
-    // independent of the assignment.
-    std::map<std::string, int> columnShard;
-    for (const GridJob &job : spec.jobs) {
-        int shard;
-        if (job.engine == Engine::Batched) {
-            auto [it, inserted] = columnShard.try_emplace(
-                programKey(job),
-                static_cast<int>(columnShard.size()) % numShards);
-            (void)inserted;
-            shard = it->second;
-        } else {
-            shard = static_cast<int>(
-                job.id % static_cast<std::uint64_t>(numShards));
-        }
-        writeJobFile(sp, job, shard);
-    }
+    for (const GridJob &job : spec.jobs)
+        writeJobFile(sp, job,
+                     static_cast<int>(
+                         job.id % static_cast<std::uint64_t>(numShards)));
 }
 
 JobRecord
@@ -948,103 +932,6 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         return gridCache->jobs[id];
     };
 
-    /** Persist one finished point: manifest before result (a result
-     *  record's existence implies its manifest is readable, whatever
-     *  instant we die at), then drop the claim. */
-    auto persist = [&](const SpoolEntry &e, const std::string &cp,
-                       JobRecord &rec, const SimResult &result,
-                       bool okRun, double wallSeconds) {
-        rec.wallSeconds = wallSeconds;
-        const std::string manifestPath =
-            sp.resultsDir() + "/" + Spool::manifestFileName(e.id);
-        if (okRun) {
-            rec.manifestCrc = crc32Hex(crc32(result.manifestJson));
-            writeFileTextAtomic(manifestPath, result.manifestJson);
-        } else {
-            rec.manifestCrc.clear();
-            removeFileIfExists(manifestPath);
-        }
-        writeJobRecord(sp, rec);
-        heartbeat.release(cp);
-        removeFileIfExists(cp);
-        ++completed;
-    };
-
-    /** Claim one pending job file and convert the claim into a lease
-     *  document (pid + acquisition time, mtime refreshed by the
-     *  heartbeat). The spec text read back from the claim lands in
-     *  @p specText. */
-    auto acquire = [&](const SpoolEntry &e, const std::string &jobName,
-                       std::string &claimPath,
-                       std::string &specText) -> bool {
-        claimPath = sp.claimsDir() + "/" +
-                    Spool::claimFileName(e.id, e.shard, opts.workerId);
-        if (!claimFile(sp.jobsDir() + "/" + jobName, claimPath))
-            return false; // Another worker won the rename.
-        specText = readFileText(claimPath);
-        writeFileTextAtomic(
-            claimPath,
-            renderClaimDoc(e, opts.workerId, embeddedCrc(specText)));
-        heartbeat.hold(claimPath);
-        if (stallPending) {
-            // Simulate a wedged worker: stop (not die) holding the
-            // lease. Only SIGKILL from the supervisor ends this.
-            stallPending = false;
-            warn("worker %s: stalling on job %llu (SIGSTOP self)",
-                 opts.workerId.c_str(),
-                 static_cast<unsigned long long>(e.id));
-            ::kill(::getpid(), SIGSTOP);
-        }
-        return true;
-    };
-
-    /** The ordinary per-point path (also the batch-failure fallback).
-     *  @p parsed skips re-verification when the caller already holds
-     *  the verified spec. */
-    auto runOne = [&](const SpoolEntry &e, const std::string &cp,
-                      const GridJob *parsed,
-                      const std::string &specText) {
-        JobRecord rec;
-        rec.id = e.id;
-        rec.shard = e.shard;
-        rec.worker = opts.workerId;
-        SimResult result;
-        bool okRun = false;
-        auto t0 = std::chrono::steady_clock::now();
-        try {
-            GridJob job;
-            if (parsed) {
-                job = *parsed;
-            } else {
-                try {
-                    job = parseJobSpecText(specText, cp, e.id);
-                } catch (const CorruptArtifactError &err) {
-                    // The claimed copy is damaged, but grid.json
-                    // still holds the truth: rebuild and run, don't
-                    // quarantine a healthy point.
-                    warn("worker %s: %s; rebuilding job %llu from "
-                         "grid.json",
-                         opts.workerId.c_str(), err.what(),
-                         static_cast<unsigned long long>(e.id));
-                    job = jobFromGrid(e.id);
-                }
-            }
-            runJob(sp, job, opts, programs, traces, rec, result,
-                   okRun);
-        } catch (const io::SimulatedCrash &) {
-            throw;
-        } catch (...) {
-            // grid.json unreadable or the id out of range: quarantine
-            // the point rather than kill the worker.
-            rec.error = classifyError(std::current_exception());
-            rec.status = JobStatus::Quarantined;
-        }
-        persist(e, cp, rec, result, okRun,
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-    };
-
     while (true) {
         if (opts.maxJobs && completed >= opts.maxJobs)
             break;
@@ -1079,127 +966,78 @@ runWorker(const std::string &root, const WorkerOptions &opts)
         if (!pick)
             break; // Spool drained (or everything is claimed).
 
-        std::string claimPath, specText;
-        if (!acquire(picked, *pick, claimPath, specText))
-            continue; // Lost the race; re-scan.
-
-        // Column batching: a Batched lead job pulls its whole column
-        // into one runBatch pass. Wall-budgeted runs stay per-point
-        // (runBatch refuses wall clocks — they are per-run concepts).
-        GridJob lead;
-        bool leadValid = false;
-        bool leadBatched = false;
-        if (opts.wallBudget == 0.0) {
-            try {
-                lead = parseJobSpecText(specText, claimPath,
-                                        picked.id);
-                leadValid = true;
-                leadBatched = lead.engine == Engine::Batched;
-            } catch (const CorruptArtifactError &) {
-                // runOne's rebuild path handles it per-point.
-            }
-        }
-        if (!leadBatched) {
-            runOne(picked, claimPath, leadValid ? &lead : nullptr,
-                   specText);
-            continue;
+        // Claim the job file and convert the claim into a lease
+        // document (pid + acquisition time, mtime refreshed by the
+        // heartbeat).
+        const std::string claimPath =
+            sp.claimsDir() + "/" +
+            Spool::claimFileName(picked.id, picked.shard, opts.workerId);
+        if (!claimFile(sp.jobsDir() + "/" + *pick, claimPath))
+            continue; // Another worker won the rename; re-scan.
+        const std::string specText = readFileText(claimPath);
+        writeFileTextAtomic(
+            claimPath,
+            renderClaimDoc(picked, opts.workerId, embeddedCrc(specText)));
+        heartbeat.hold(claimPath);
+        if (stallPending) {
+            // Simulate a wedged worker: stop (not die) holding the
+            // lease. Only SIGKILL from the supervisor ends this.
+            stallPending = false;
+            warn("worker %s: stalling on job %llu (SIGSTOP self)",
+                 opts.workerId.c_str(),
+                 static_cast<unsigned long long>(picked.id));
+            ::kill(::getpid(), SIGSTOP);
         }
 
-        struct Claimed
-        {
-            SpoolEntry e;
-            std::string path;
+        JobRecord rec;
+        rec.id = picked.id;
+        rec.shard = picked.shard;
+        rec.worker = opts.workerId;
+        SimResult result;
+        bool okRun = false;
+        auto t0 = std::chrono::steady_clock::now();
+        try {
+            // The claimed spec is parsed exactly once, here.
             GridJob job;
-        };
-        std::vector<Claimed> column;
-        column.push_back({picked, claimPath, lead});
-        std::size_t allow =
-            opts.maxJobs ? opts.maxJobs - completed : names.size();
-        for (const std::string &name : listDir(sp.jobsDir())) {
-            if (column.size() >= allow && allow > 0)
-                break;
-            if (opts.gracefulDrain && g_drainRequested)
-                break; // Drain with what we already hold.
-            SpoolEntry e;
-            if (!parseSpoolName(name, e) || !e.worker.empty())
-                continue;
-            GridJob cand;
             try {
-                cand = parseJobSpecText(
-                    readFileText(sp.jobsDir() + "/" + name),
-                    sp.jobsDir() + "/" + name, e.id);
-            } catch (const io::SimulatedCrash &) {
-                throw;
-            } catch (...) {
-                continue; // Claimed/removed mid-scan, or damaged —
-                          // the per-point path deals with it later.
+                job = parseJobSpecText(specText, claimPath, picked.id);
+            } catch (const CorruptArtifactError &err) {
+                // The claimed copy is damaged, but grid.json still
+                // holds the truth: rebuild and run, don't quarantine a
+                // healthy point.
+                warn("worker %s: %s; rebuilding job %llu from grid.json",
+                     opts.workerId.c_str(), err.what(),
+                     static_cast<unsigned long long>(picked.id));
+                job = jobFromGrid(picked.id);
             }
-            if (cand.engine != Engine::Batched ||
-                programKey(cand) != programKey(lead) ||
-                cand.maxInsts != lead.maxInsts ||
-                cand.warmupInsts != lead.warmupInsts)
-                continue;
-            std::string cp, ctext;
-            if (!acquire(e, name, cp, ctext))
-                continue; // Another worker won this point.
-            column.push_back({e, cp, cand});
+            runJob(sp, job, opts, programs, traces, rec, result, okRun);
+        } catch (const io::SimulatedCrash &) {
+            throw;
+        } catch (...) {
+            // grid.json unreadable or the id out of range: quarantine
+            // the point rather than kill the worker.
+            rec.error = classifyError(std::current_exception());
+            rec.status = JobStatus::Quarantined;
         }
+        rec.wallSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
 
-        bool columnOk = false;
-        if (column.size() > 1) {
-            try {
-                std::shared_ptr<const vm::ExternalTrace> xt;
-                std::shared_ptr<const prog::Program> program =
-                    resolveJobProgram(lead, programs, xt);
-                RunOptions ro;
-                ro.maxInsts = lead.maxInsts;
-                ro.warmupInsts = lead.warmupInsts;
-                ro.engine = Engine::Batched;
-                ro.externalTrace = xt;
-                ro.maxCycles = opts.cycleBudget;
-                ro.captureManifest = true;
-                ro.canonicalManifest = true;
-                if (!xt)
-                    ro.trace = traces.get(
-                        program,
-                        lead.maxInsts
-                            ? lead.maxInsts + lead.warmupInsts
-                            : 0);
-                std::vector<config::MachineConfig> cfgs;
-                cfgs.reserve(column.size());
-                for (const Claimed &c : column)
-                    cfgs.push_back(c.job.cfg);
-                auto t0 = std::chrono::steady_clock::now();
-                std::vector<SimResult> rs =
-                    runBatch(*program, cfgs, ro);
-                double wall =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count() /
-                    static_cast<double>(column.size());
-                for (std::size_t i = 0; i < column.size(); ++i) {
-                    JobRecord rec;
-                    rec.id = column[i].e.id;
-                    rec.shard = column[i].e.shard;
-                    rec.worker = opts.workerId;
-                    rec.status = JobStatus::Ok;
-                    persist(column[i].e, column[i].path, rec, rs[i],
-                            true, wall);
-                }
-                columnOk = true;
-            } catch (const io::SimulatedCrash &) {
-                throw;
-            } catch (...) {
-                // Fall back point-by-point below: a batch aborts on
-                // the first error, so re-running each claim alone
-                // reproduces the failure only on the offending point
-                // (with blackbox + retry, exactly the normal path).
-                columnOk = false;
-            }
+        // Persist: manifest before result (a result record's existence
+        // implies its manifest is readable, whatever instant we die
+        // at), then drop the claim.
+        const std::string manifestPath =
+            sp.resultsDir() + "/" + Spool::manifestFileName(picked.id);
+        if (okRun) {
+            rec.manifestCrc = crc32Hex(crc32(result.manifestJson));
+            writeFileTextAtomic(manifestPath, result.manifestJson);
+        } else {
+            removeFileIfExists(manifestPath);
         }
-        if (!columnOk)
-            for (const Claimed &c : column)
-                runOne(c.e, c.path, &c.job, "");
+        writeJobRecord(sp, rec);
+        heartbeat.release(claimPath);
+        removeFileIfExists(claimPath);
+        ++completed;
     }
     return completed;
 }

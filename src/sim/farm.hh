@@ -251,14 +251,6 @@ struct WorkerOptions
  * worker process, so a worker amortizes functional execution across
  * every grid point of a program exactly like SweepRunner does.
  *
- * Column batching: when a claimed job requests Engine::Batched, the
- * worker additionally claims every still-pending job of the same
- * column (same program, annotation and instruction caps) and runs the
- * whole set through sim::runBatch — one trace pass for N configs,
- * results byte-identical to per-point runs. If the batch fails for
- * any reason, every claimed point falls back to the ordinary
- * per-point retry path, reproducing failures point-by-point.
- *
  * Per-job failures never propagate — they become quarantined result
  * records; only spool-level I/O failures raise.
  *

@@ -76,8 +76,8 @@ struct GridJob
      * Execution engine for this point (RunOptions::engine). Auto — the
      * default, and the only value specs written before engines existed
      * can hold — lets the executor pick (farm workers and SweepRunner
-     * share replay traces either way). Batched opts the point into
-     * column batching; Sampled runs the SMARTS plan below.
+     * share replay traces either way). Sampled runs the SMARTS plan
+     * below.
      */
     Engine engine = Engine::Auto;
     /** Sampled-engine plan; meaningful only when engine == Sampled. */

@@ -10,6 +10,7 @@
 #include "robust/fault_inject.hh"
 #include "stats/formatter.hh"
 #include "util/log.hh"
+#include "util/str.hh"
 #include "vm/executor.hh"
 #include "vm/xtrace.hh"
 
@@ -30,43 +31,16 @@ engineName(Engine e)
       case Engine::Auto: return "auto";
       case Engine::Live: return "live";
       case Engine::Replay: return "replay";
-      case Engine::Batched: return "batched";
       case Engine::Sampled: return "sampled";
     }
     return "?";
 }
 
-namespace {
-
-/** Levenshtein distance for the --engine= did-you-mean suggestion. */
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> row(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        row[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        std::size_t diag = row[0];
-        row[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            std::size_t next = std::min(
-                {row[j] + 1, row[j - 1] + 1,
-                 diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
-            diag = row[j];
-            row[j] = next;
-        }
-    }
-    return row[b.size()];
-}
-
-} // namespace
-
 Engine
 engineFromName(const std::string &name)
 {
     static constexpr Engine kEngines[] = {
-        Engine::Auto, Engine::Live, Engine::Replay, Engine::Batched,
-        Engine::Sampled};
+        Engine::Auto, Engine::Live, Engine::Replay, Engine::Sampled};
     std::string best;
     std::size_t bestDist = 4;
     for (Engine e : kEngines) {
@@ -80,7 +54,7 @@ engineFromName(const std::string &name)
         }
     }
     std::string msg = format("unknown engine '%s' (expected auto, "
-                             "live, replay, batched or sampled",
+                             "live, replay or sampled",
                              name.c_str());
     if (!best.empty())
         msg += format("; did you mean '%s'?", best.c_str());
@@ -189,8 +163,7 @@ probeFaults(const prog::Program &program,
  * The hardware half of the static partitioning pipeline: run the
  * analyzer over the program text and build the per-pc verdict table
  * the classifier consumes. The analysis is deterministic, so live
- * execution, trace replay, batched lanes and farm workers all see the
- * same table; runBatch computes it once per column.
+ * execution, trace replay and farm workers all see the same table.
  */
 std::vector<core::StaticVerdict>
 staticVerdictTable(const prog::Program &program)
@@ -248,8 +221,8 @@ checkExternalOptions(const RunOptions &opts)
     if (opts.engine == Engine::Live)
         raise(ConfigError("engine",
                           "an external trace has no functional "
-                          "semantics to execute live; use the replay, "
-                          "batched or sampled engine"));
+                          "semantics to execute live; use the replay "
+                          "or sampled engine"));
     if (opts.trace)
         raise(ConfigError("trace",
                           "RunOptions::trace and externalTrace are "
@@ -301,8 +274,7 @@ extractCounters(SimResult &r, cpu::Pipeline &pipe)
 /**
  * Assemble and attach/write the run manifest for an already-final
  * SimResult. @p engine is the *effective* engine string — "live",
- * "replay" or "sampled"; batched lanes pass "replay" so their
- * manifests stay byte-identical to independent replays.
+ * "replay" or "sampled".
  */
 void
 attachManifest(SimResult &r, const prog::Program &program,
@@ -362,9 +334,7 @@ attachManifest(SimResult &r, const prog::Program &program,
 /**
  * The exact engines: live functional execution or trace replay, both
  * bit-identical (the front end is configuration-oblivious). Handles
- * Engine::Auto/Live/Replay — and Engine::Batched for a single run,
- * where batching degenerates to plain replay (grouping whole columns
- * is SweepRunner's and the farm's job).
+ * Engine::Auto/Live/Replay.
  */
 SimResult
 runExact(const prog::Program &program,
@@ -379,8 +349,7 @@ runExact(const prog::Program &program,
     // supplied (or the engine demands one), otherwise execute
     // functionally. An ingested external trace always replays.
     bool wantReplay =
-        opts.engine == Engine::Replay ||
-        opts.engine == Engine::Batched || opts.externalTrace ||
+        opts.engine == Engine::Replay || opts.externalTrace ||
         (opts.engine == Engine::Auto && opts.trace);
     std::shared_ptr<const vm::RecordedTrace> trace;
     if (wantReplay) {
@@ -750,177 +719,6 @@ run(const prog::Program &program, const config::MachineConfig &cfg,
     if (opts.engine == Engine::Sampled)
         return runSampled(program, cfg, opts);
     return runExact(program, cfg, opts);
-}
-
-std::vector<SimResult>
-runBatch(const prog::Program &program,
-         const std::vector<config::MachineConfig> &cfgs,
-         const RunOptions &opts)
-{
-    if (cfgs.empty())
-        return {};
-    if (!opts.manifestPath.empty() || !opts.tracePath.empty() ||
-        !opts.samplePath.empty() || !opts.blackboxPath.empty())
-        raise(ConfigError("engine",
-                          "runBatch: per-run output paths (manifest, "
-                          "trace, sample, blackbox) do not apply to a "
-                          "whole column; use captureManifest"));
-    if (opts.sampleInterval > 0 || opts.verifyTrace)
-        raise(ConfigError("engine",
-                          "runBatch: interval sampling and trace "
-                          "verification are per-run options"));
-    if (opts.maxWallSeconds > 0)
-        raise(ConfigError("engine",
-                          "runBatch: a wall-clock budget cannot be "
-                          "attributed to interleaved lanes; use "
-                          "maxCycles"));
-
-    // Fault injection makes a column non-batchable: one lane's
-    // injected failure would abort every lane. Refuse up front so the
-    // caller falls back to per-point run() calls, which reproduce the
-    // injected behavior point by point.
-    if (robust::FaultInjector *inj = robust::FaultInjector::active()) {
-        for (const config::MachineConfig &cfg : cfgs) {
-            robust::RunFaultPlan plan =
-                inj->planFor(program.name(), cfg.notation());
-            if (plan.failTransient || plan.failPersistent ||
-                plan.allocFail || plan.crashProcess ||
-                plan.dropWakeupAt != 0 || plan.hangSeconds != 0)
-                raise(IoError(
-                    program.name(),
-                    format("fault injection active for '%s'; batched "
-                           "column refused (falling back to per-point "
-                           "runs reproduces the injection)",
-                           program.name().c_str())));
-        }
-    }
-
-    checkExternalOptions(opts);
-    for (const config::MachineConfig &cfg : cfgs)
-        cfg.validate();
-
-    std::shared_ptr<const vm::RecordedTrace> trace =
-        opts.externalTrace
-            ? vm::ExternalTrace::sharedTrace(opts.externalTrace)
-            : opts.trace;
-    std::uint64_t limit =
-        opts.maxInsts ? opts.maxInsts + opts.warmupInsts : 0;
-    if (trace) {
-        if (&trace->program() != &program)
-            panic("RunOptions::trace was recorded from a different "
-                  "program");
-    } else {
-        trace = std::make_shared<const vm::RecordedTrace>(
-            vm::RecordedTrace::record(program, limit));
-    }
-
-    // One pipeline per configuration, all fed from one decode ring.
-    // Lane order is cfgs order; results come back in the same order.
-    struct Lane
-    {
-        stats::Group root{nullptr, ""};
-        vm::BatchedReplay::Cursor src;
-        cpu::Pipeline pipe;
-
-        Lane(vm::BatchedReplay &batch, const config::MachineConfig &c)
-            : src(batch), pipe(&root, c, src)
-        {}
-    };
-
-    std::uint64_t margin = 0;
-    for (const config::MachineConfig &cfg : cfgs)
-        margin = std::max(margin,
-                          static_cast<std::uint64_t>(cfg.fetchWidth));
-
-    constexpr std::size_t kRingCap = 4096;
-    vm::BatchedReplay batch(*trace, kRingCap);
-    const std::uint64_t chunk = batch.capacity() - margin;
-    const std::uint64_t total = batch.instCount();
-
-    std::vector<std::unique_ptr<Lane>> lanes;
-    lanes.reserve(cfgs.size());
-    std::vector<core::StaticVerdict> verdicts;
-    bool haveVerdicts = false;
-    for (const config::MachineConfig &cfg : cfgs) {
-        lanes.push_back(std::make_unique<Lane>(batch, cfg));
-        Lane &lane = *lanes.back();
-        if (cfg.classifier == config::ClassifierKind::StaticHybrid) {
-            // Analyze once per column, copy the table per lane.
-            if (!haveVerdicts) {
-                verdicts =
-                    opts.externalTrace
-                        ? externalVerdictTable(*opts.externalTrace)
-                        : staticVerdictTable(program);
-                haveVerdicts = true;
-            }
-            lane.pipe.classifier().setStaticVerdicts(
-                std::vector<core::StaticVerdict>(verdicts));
-        }
-        if (opts.maxCycles != 0)
-            lane.pipe.setGuards({opts.maxCycles, 0.0});
-    }
-
-    // The driver: advance the decode frontier one chunk at a time and
-    // bring every lane up to the chunk boundary before decoding more.
-    // Per-lane fetch may overshoot a runUntilFetched() target by up to
-    // fetchWidth-1, which the decode margin covers; chunk targets are
-    // kept at least `margin` short of a fetch limit so no lane ever
-    // fetches an instruction a serial run(limit) would not have.
-    const std::uint64_t end =
-        limit != 0 && limit < total ? limit : total;
-    std::uint64_t pos = 0;
-    auto chunkTo = [&](std::uint64_t target) {
-        while (pos < target) {
-            std::uint64_t t = std::min(pos + chunk, target);
-            batch.decodeTo(std::min(t + margin, total));
-            for (std::unique_ptr<Lane> &lane : lanes)
-                lane->pipe.runUntilFetched(t);
-            pos = t;
-        }
-    };
-
-    auto t0 = std::chrono::steady_clock::now();
-    if (opts.warmupInsts > 0) {
-        // Identical call sequence to the serial path: warm to the
-        // fetch target, then zero the stats with the machine hot.
-        chunkTo(std::min(opts.warmupInsts, total));
-        for (std::unique_ptr<Lane> &lane : lanes)
-            lane->pipe.resetStats();
-    }
-    while (pos + chunk + margin <= end) {
-        std::uint64_t t = pos + chunk;
-        batch.decodeTo(std::min(t + margin, total));
-        for (std::unique_ptr<Lane> &lane : lanes)
-            lane->pipe.runUntilFetched(t);
-        pos = t;
-    }
-    // Final stretch: run(limit) stops fetch exactly at the limit (no
-    // overshoot) and drains each lane completely.
-    batch.decodeTo(end);
-    for (std::unique_ptr<Lane> &lane : lanes)
-        lane->pipe.run(limit);
-    double wallSeconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-
-    std::vector<SimResult> results;
-    results.reserve(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-        Lane &lane = *lanes[i];
-        SimResult r;
-        r.program = program.name();
-        r.notation = cfgs[i].notation();
-        r.cycles = lane.pipe.numCycles.value();
-        r.committed = lane.pipe.committedInsts.value();
-        r.ipc = lane.pipe.ipc();
-        extractCounters(r, lane.pipe);
-        if (opts.captureStats)
-            r.statsText = stats::toText(lane.root);
-        attachManifest(r, program, cfgs[i], opts, lane.pipe,
-                       lane.root, wallSeconds, true, "replay");
-        results.push_back(std::move(r));
-    }
-    return results;
 }
 
 } // namespace ddsim::sim

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "config/machine_config.hh"
 #include "prog/program.hh"
@@ -37,13 +36,6 @@ enum class Engine : std::uint8_t
     Live,
     /** Replay a recorded trace (recording one first if needed). */
     Replay,
-    /**
-     * Batched multi-config replay: one trace decode pass shared by a
-     * whole sweep column (see runBatch). For a single run() this is
-     * plain replay — batching is a sweep-level behavior; SweepRunner
-     * and the farm group same-program jobs into runBatch columns.
-     */
-    Batched,
     /**
      * SMARTS-style interval sampling: functional fast-forward between
      * detailed windows per RunOptions::sampling. IPC/cycles are
@@ -119,7 +111,7 @@ struct RunOptions
      * only the reconstructed text), and a run.trace_source provenance
      * block in the manifest. Engine::Live is a ConfigError — there is
      * no functional semantics to execute, only the recorded stream;
-     * Auto resolves to replay. Batched and sampled work unchanged.
+     * Auto resolves to replay. Sampled works unchanged.
      */
     std::shared_ptr<const vm::ExternalTrace> externalTrace;
     /**
@@ -204,33 +196,6 @@ struct RunOptions
 SimResult run(const prog::Program &program,
               const config::MachineConfig &cfg,
               const RunOptions &opts = {});
-
-/**
- * Batched multi-config replay: simulate @p program under every
- * configuration in @p cfgs with ONE pass over the shared dynamic
- * trace. Each config gets its own complete pipeline (ROB, LSQ, LVAQ,
- * caches, stats — structure-of-arrays per-config timing state); the
- * driver interleaves their cycles against a bounded decode ring, so
- * trace decoding and memory traffic over the encoded words are paid
- * once per column instead of once per point. Results (manifests
- * included) are byte-identical to N independent run() calls with the
- * same options — pinned by the differential and sweep suites.
- *
- * @p opts applies to every lane. Options that name output files
- * (manifestPath, tracePath, samplePath, blackboxPath), wall-clock
- * budgets, interval sampling, and trace verification are per-run
- * concepts and raise ConfigError here; captureManifest/captureStats,
- * maxInsts/warmupInsts, maxCycles and label are supported. If
- * opts.trace is unset, the trace is recorded once internally.
- *
- * Any SimError aborts the whole column (deterministic: a caller
- * falling back to per-point run() calls reproduces the same failure
- * only on the offending point).
- */
-std::vector<SimResult>
-runBatch(const prog::Program &program,
-         const std::vector<config::MachineConfig> &cfgs,
-         const RunOptions &opts = {});
 
 } // namespace ddsim::sim
 

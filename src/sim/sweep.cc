@@ -5,7 +5,6 @@
 #include <new>
 #include <ostream>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "obs/manifest.hh"
@@ -91,116 +90,6 @@ SweepRunner::runJobWithRetry(SweepJob job, Slot *slot, TraceCache *tc,
     }
 }
 
-namespace {
-
-/**
- * Can this job join a batched column? runBatch() shares one
- * RunOptions across the whole column, so per-run outputs and
- * wall-clock budgets disqualify a job (it falls back to plain replay,
- * which is bit-identical anyway).
- */
-bool
-batchable(const SweepJob &job)
-{
-    const RunOptions &o = job.opts;
-    return o.engine == Engine::Batched && o.manifestPath.empty() &&
-           o.tracePath.empty() && o.samplePath.empty() &&
-           o.blackboxPath.empty() && o.sampleInterval == 0 &&
-           !o.verifyTrace && o.maxWallSeconds == 0.0;
-}
-
-/** Jobs with equal column keys share one runBatch() call. */
-struct ColumnKey
-{
-    const prog::Program *program;
-    const vm::RecordedTrace *trace;
-    std::uint64_t maxInsts;
-    std::uint64_t warmupInsts;
-    std::uint64_t maxCycles;
-    bool captureStats;
-    bool captureManifest;
-    bool canonicalManifest;
-    std::string label;
-
-    explicit ColumnKey(const SweepJob &job)
-        : program(job.program.get()), trace(job.opts.trace.get()),
-          maxInsts(job.opts.maxInsts),
-          warmupInsts(job.opts.warmupInsts),
-          maxCycles(job.opts.maxCycles),
-          captureStats(job.opts.captureStats),
-          captureManifest(job.opts.captureManifest),
-          canonicalManifest(job.opts.canonicalManifest),
-          label(job.opts.label)
-    {}
-
-    bool operator<(const ColumnKey &o) const
-    {
-        auto tie = [](const ColumnKey &k) {
-            return std::tie(k.program, k.trace, k.maxInsts,
-                            k.warmupInsts, k.maxCycles, k.captureStats,
-                            k.captureManifest, k.canonicalManifest,
-                            k.label);
-        };
-        return tie(*this) < tie(o);
-    }
-};
-
-} // namespace
-
-void
-SweepRunner::flushBatches()
-{
-    if (batchQueue.empty())
-        return;
-    std::map<ColumnKey, std::vector<PendingBatch>> columns;
-    for (PendingBatch &pb : batchQueue)
-        columns[ColumnKey(pb.job)].push_back(std::move(pb));
-    batchQueue.clear();
-
-    for (auto &[key, column] : columns) {
-        TraceCache *tc = shareTraces &&
-                                 !column.front().job.opts.trace &&
-                                 !column.front().job.opts.externalTrace
-                             ? &traces
-                             : nullptr;
-        RetryPolicy policy = retryPolicy;
-        pool.submit([tc, policy, column = std::move(column)]() mutable {
-            std::shared_ptr<const prog::Program> program =
-                column.front().job.program;
-            RunOptions opts = column.front().job.opts;
-            std::vector<config::MachineConfig> cfgs;
-            cfgs.reserve(column.size());
-            for (const PendingBatch &pb : column)
-                cfgs.push_back(pb.job.cfg);
-            try {
-                if (tc) {
-                    std::uint64_t cap =
-                        opts.maxInsts
-                            ? opts.maxInsts + opts.warmupInsts
-                            : 0;
-                    opts.trace = tc->get(program, cap);
-                }
-                std::vector<SimResult> rs =
-                    runBatch(*program, cfgs, opts);
-                for (std::size_t i = 0; i < column.size(); ++i) {
-                    column[i].slot->result = std::move(rs[i]);
-                    column[i].slot->error = nullptr;
-                    column[i].slot->attempts = 1;
-                }
-                return;
-            } catch (...) {
-                // A failing column falls back to independent runs:
-                // only the genuinely bad point keeps failing (with
-                // the standard retry/quarantine treatment) and the
-                // healthy lanes still produce their results.
-            }
-            for (PendingBatch &pb : column)
-                runJobWithRetry(std::move(pb.job), pb.slot, tc,
-                                policy);
-        });
-    }
-}
-
 std::size_t
 SweepRunner::submit(SweepJob job)
 {
@@ -211,12 +100,6 @@ SweepRunner::submit(SweepJob job)
     // deque never relocates elements, so this pointer stays valid
     // while submit() grows the grid under the workers.
     Slot *slot = &slots.back();
-    if (batchable(job)) {
-        // Whole columns run as one trace pass; grouping happens at
-        // collect time, once the full grid is known.
-        batchQueue.push_back({std::move(job), slot});
-        return index;
-    }
     // Trace resolution runs on the worker, not here: the first job to
     // reach a program records its trace while workers on other
     // programs keep simulating. External traces bring their own
@@ -243,7 +126,6 @@ SweepRunner::submit(std::shared_ptr<const prog::Program> program,
 std::vector<SimResult>
 SweepRunner::collect()
 {
-    flushBatches();
     pool.wait();
     std::vector<SimResult> results;
     results.reserve(slots.size());
@@ -262,7 +144,6 @@ SweepRunner::collect()
 SweepOutcome
 SweepRunner::collectOutcome()
 {
-    flushBatches();
     pool.wait();
     SweepOutcome out;
     out.results.reserve(slots.size());

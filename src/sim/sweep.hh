@@ -276,31 +276,13 @@ class SweepRunner
         ErrorClass lastError;     ///< Last failure, kept across recovery.
     };
 
-    /** A submitted Engine::Batched job waiting to be grouped into a
-     *  column at collect time. */
-    struct PendingBatch
-    {
-        SweepJob job;
-        Slot *slot;
-    };
-
-    /** The per-job retry loop shared by the normal path and the
-     *  batch-failure fallback. Runs on a worker thread. */
+    /** The per-job retry loop. Runs on a worker thread. */
     static void runJobWithRetry(SweepJob job, Slot *slot,
                                 TraceCache *tc,
                                 const RetryPolicy &policy);
 
-    /**
-     * Group the pending Engine::Batched jobs into per-(program,
-     * options) columns and submit one runBatch task per column.
-     * Called by collect()/collectOutcome() once the grid is final —
-     * batching needs the whole column, which only exists then.
-     */
-    void flushBatches();
-
     ThreadPool pool;
     std::deque<Slot> slots; ///< deque: stable addresses across submit()
-    std::vector<PendingBatch> batchQueue;
     TraceCache traces;
     bool shareTraces = true;
     RetryPolicy retryPolicy;

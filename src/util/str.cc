@@ -1,5 +1,6 @@
 #include "util/str.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -120,6 +121,26 @@ parseSize(std::string_view s, std::uint64_t &out)
         return false;
     out = static_cast<std::uint64_t>(v) * mult;
     return true;
+}
+
+std::size_t
+editDistance(std::string_view a, std::string_view b)
+{
+    std::vector<std::size_t> row(b.size() + 1);
+    for (std::size_t j = 0; j <= b.size(); ++j)
+        row[j] = j;
+    for (std::size_t i = 1; i <= a.size(); ++i) {
+        std::size_t diag = row[0];
+        row[0] = i;
+        for (std::size_t j = 1; j <= b.size(); ++j) {
+            std::size_t next = std::min(
+                {row[j] + 1, row[j - 1] + 1,
+                 diag + (a[i - 1] == b[j - 1] ? 0 : 1)});
+            diag = row[j];
+            row[j] = next;
+        }
+    }
+    return row[b.size()];
 }
 
 } // namespace ddsim

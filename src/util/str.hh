@@ -7,6 +7,7 @@
 #ifndef DDSIM_UTIL_STR_HH_
 #define DDSIM_UTIL_STR_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -43,6 +44,12 @@ bool parseDouble(std::string_view s, double &out);
  * -> 2048. @return true on success.
  */
 bool parseSize(std::string_view s, std::uint64_t &out);
+
+/**
+ * Levenshtein edit distance between @p a and @p b, for did-you-mean
+ * suggestions on mistyped names.
+ */
+std::size_t editDistance(std::string_view a, std::string_view b);
 
 } // namespace ddsim
 

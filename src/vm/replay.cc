@@ -89,51 +89,4 @@ TraceReplay::step()
     return di;
 }
 
-BatchedReplay::BatchedReplay(const RecordedTrace &trace,
-                             std::size_t ringCap)
-    : decoder(trace), total(trace.instCount())
-{
-    std::size_t cap = 1;
-    while (cap < ringCap)
-        cap <<= 1;
-    ring.resize(cap);
-    mask = cap - 1;
-}
-
-void
-BatchedReplay::decodeTo(std::uint64_t upTo)
-{
-    if (upTo > total)
-        upTo = total;
-    if (upTo > decodedEnd + ring.size())
-        panic("BatchedReplay::decodeTo(%llu) would evict undecoded "
-              "records (frontier %llu, capacity %zu)",
-              static_cast<unsigned long long>(upTo),
-              static_cast<unsigned long long>(decodedEnd),
-              ring.size());
-    while (decodedEnd < upTo) {
-        ring[decodedEnd & mask] = decoder.step();
-        ++decodedEnd;
-    }
-}
-
-DynInst
-BatchedReplay::Cursor::step()
-{
-    if (halted())
-        panic("BatchedReplay::Cursor::step() on an exhausted trace");
-    if (next >= batch->decodedEnd)
-        panic("BatchedReplay::Cursor ran ahead of the decode frontier "
-              "(%llu >= %llu): driver chunking bug",
-              static_cast<unsigned long long>(next),
-              static_cast<unsigned long long>(batch->decodedEnd));
-    if (next + batch->ring.size() < batch->decodedEnd)
-        panic("BatchedReplay::Cursor fell behind the ring (%llu, "
-              "frontier %llu, capacity %zu): driver chunking bug",
-              static_cast<unsigned long long>(next),
-              static_cast<unsigned long long>(batch->decodedEnd),
-              batch->ring.size());
-    return batch->ring[next++ & batch->mask];
-}
-
 } // namespace ddsim::vm

@@ -12,6 +12,7 @@
 #include "util/atomic_file.hh"
 #include "util/error.hh"
 #include "util/log.hh"
+#include "util/varint.hh"
 
 namespace ddsim::vm {
 
@@ -112,27 +113,20 @@ struct ByteReader
     varint(const char *what)
     {
         const std::size_t start = pos;
-        std::uint64_t v = 0;
-        int shift = 0;
-        while (true) {
-            if (pos >= buf.size())
-                corrupt(start,
-                        std::string("truncated varint (") + what + ")");
-            std::uint8_t b =
-                static_cast<std::uint8_t>(buf[pos++]);
-            if (shift == 63 && (b & 0x7f) > 1)
-                corrupt(start,
-                        std::string("varint overflows 64 bits (") +
-                            what + ")");
-            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            if (!(b & 0x80))
-                return v;
-            shift += 7;
-            if (shift > 63)
-                corrupt(start,
-                        std::string("varint overflows 64 bits (") +
-                            what + ")");
-        }
+        std::uint64_t v;
+        const VarintStatus st = getVarint(
+            [this]() -> int {
+                return pos < buf.size()
+                           ? static_cast<std::uint8_t>(buf[pos++])
+                           : -1;
+            },
+            v);
+        if (st == VarintStatus::Ok)
+            return v;
+        corrupt(start, std::string(st == VarintStatus::Truncated
+                                       ? "truncated varint ("
+                                       : "varint overflows 64 bits (") +
+                           what + ")");
     }
 
     std::uint32_t
@@ -161,18 +155,6 @@ struct ByteReader
         return v;
     }
 };
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    do {
-        std::uint8_t b = v & 0x7f;
-        v >>= 7;
-        if (v)
-            b |= 0x80;
-        os.put(static_cast<char>(b));
-    } while (v);
-}
 
 void
 putU32le(std::ostream &os, std::uint32_t v)

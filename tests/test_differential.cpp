@@ -164,29 +164,6 @@ TEST_P(Differential, ObservabilityOnMatchesSeedModel)
 INSTANTIATE_TEST_SUITE_P(AllWorkloadsAllConfigs, Differential,
                          ::testing::ValuesIn(kBaseline), rowName);
 
-TEST(DifferentialBatched, OneColumnPassMatchesSeedModel)
-{
-    // Batched multi-config replay: every workload's five pinned
-    // configurations as ONE runBatch column over one shared trace
-    // pass. Each lane must stay bit-identical to the seed model —
-    // batching is an implementation speedup, never model-visible.
-    std::map<std::string, std::vector<const BaselineRow *>> byWorkload;
-    for (const BaselineRow &row : kBaseline)
-        byWorkload[row.workload].push_back(&row);
-    ASSERT_FALSE(byWorkload.empty());
-    for (const auto &[workload, rows] : byWorkload) {
-        const prog::Program &program = programFor(workload);
-        std::vector<config::MachineConfig> cfgs;
-        cfgs.reserve(rows.size());
-        for (const BaselineRow *row : rows)
-            cfgs.push_back(diffgrid::configFor(row->cfg));
-        std::vector<sim::SimResult> rs = sim::runBatch(program, cfgs);
-        ASSERT_EQ(rs.size(), rows.size());
-        for (std::size_t i = 0; i < rows.size(); ++i)
-            expectMatchesBaseline(rs[i], *rows[i], "batched");
-    }
-}
-
 namespace {
 
 /** " key=value" tokens of a queueCounters() line. */

@@ -180,6 +180,12 @@ TEST(GridSpec, RejectsMalformedDocuments)
     patched("\"workload\": \"li\"", "\"workload\": \"spice\"");
     EXPECT_THROW(GridSpec::fromFile(path), FatalError);
 
+    // The batched engine no longer exists; old documents naming it
+    // are refused like any unknown engine.
+    patched("\"workload\": \"li\"",
+            "\"engine\": \"batched\", \"workload\": \"li\"");
+    EXPECT_THROW(GridSpec::fromFile(path), ConfigError);
+
     // Notation redundancy check: edit a config field, keep the
     // notation string.
     patched("\"lvc_enabled\": false", "\"lvc_enabled\": true");

@@ -278,6 +278,46 @@ TEST(PipelineTrace, UnfinalizedFileIsFatal)
     EXPECT_THROW(obs::TraceReader reader(path), FatalError);
 }
 
+TEST(PipelineTrace, TenthVarintByteBeyondBit63IsCorrupt)
+{
+    // One otherwise complete record whose sequence delta is a 10-byte
+    // varint. The tenth byte holds bit 63 alone; any higher bit does
+    // not fit in 64 bits and must be reported, not silently dropped.
+    auto writeTrace = [](const std::string &path, char tenth) {
+        std::ofstream os(path, std::ios::binary);
+        os.write(obs::kTraceMagic, 8);
+        std::uint32_t ver = obs::kTraceVersion;
+        os.write(reinterpret_cast<const char *>(&ver), 4);
+        std::uint16_t zero = 0;
+        for (int i = 0; i < 3; ++i)
+            os.write(reinterpret_cast<const char *>(&zero), 2);
+        std::uint64_t count = 1;
+        os.write(reinterpret_cast<const char *>(&count), 8);
+        for (int i = 0; i < 9; ++i)
+            os.put(static_cast<char>(0xff));
+        os.put(tenth);
+        // pc, flags, commit delta and six stage offsets, all zero.
+        for (int i = 0; i < 9; ++i)
+            os.put(0);
+    };
+
+    std::string path = tempPath("varint_edge.trace");
+    writeTrace(path, 0x01);
+    {
+        obs::TraceReader reader(path);
+        obs::TraceRecord r;
+        ASSERT_TRUE(reader.next(r));
+        EXPECT_EQ(r.seq, ~std::uint64_t{0});
+    }
+
+    setQuiet(true);
+    writeTrace(path, 0x02);
+    obs::TraceReader reader(path);
+    obs::TraceRecord r;
+    EXPECT_THROW(reader.next(r), TraceCorruptError);
+    setQuiet(false);
+}
+
 TEST(Manifest, RunCaptureMatchesResult)
 {
     auto prog = program("li", 5);

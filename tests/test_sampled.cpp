@@ -134,12 +134,14 @@ TEST(Sampled, RejectsInvalidPlansAndIncompatibleOptions)
 
 TEST(Sampled, EngineNamesRoundTripAndRejectWithSuggestion)
 {
-    for (Engine e : {Engine::Auto, Engine::Live, Engine::Replay,
-                     Engine::Batched, Engine::Sampled})
+    for (Engine e :
+         {Engine::Auto, Engine::Live, Engine::Replay, Engine::Sampled})
         EXPECT_EQ(engineFromName(engineName(e)), e);
 
     setQuiet(true);
     EXPECT_THROW(engineFromName("warp-drive"), ConfigError);
+    // The batched engine was removed; its name is now just unknown.
+    EXPECT_THROW(engineFromName("batched"), ConfigError);
     try {
         engineFromName("sampeld");
         FAIL() << "engineFromName should have thrown";

@@ -310,33 +310,6 @@ TEST(Sweep, TraceSharingDoesNotChangeGridResults)
     }
 }
 
-TEST(Sweep, BatchedEngineMatchesPerPointResults)
-{
-    // The batched engine folds each program's column into one
-    // runBatch trace pass; every lane must stay bit-identical to the
-    // per-point serial reference, in submission order, for any worker
-    // count.
-    std::vector<SweepJob> jobs = determinismGrid();
-    std::vector<SimResult> serial;
-    for (const SweepJob &job : jobs)
-        serial.push_back(run(*job.program, job.cfg, job.opts));
-
-    for (unsigned workers : {1u, 4u}) {
-        SweepRunner sweep(workers);
-        for (SweepJob job : jobs) {
-            job.opts.engine = Engine::Batched;
-            sweep.submit(std::move(job));
-        }
-        std::vector<SimResult> batched = sweep.collect();
-        ASSERT_EQ(batched.size(), serial.size()) << workers;
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            SCOPED_TRACE("workers=" + std::to_string(workers) +
-                         " job=" + std::to_string(i));
-            expectIdentical(batched[i], serial[i]);
-        }
-    }
-}
-
 TEST(Sweep, TraceCacheByteBudgetEvictsLeastRecentlyUsed)
 {
     auto program = sharedWorkload("li", 32);

@@ -116,16 +116,18 @@ class GridSpecChecks(unittest.TestCase):
 
     def test_accepts_engines_and_sampled_plan(self):
         doc = grid_doc()
-        doc["jobs"][0]["engine"] = "batched"
+        doc["jobs"][0]["engine"] = "replay"
         doc["jobs"][1]["engine"] = "sampled"
         doc["jobs"][1]["sampling"] = {"period": 4096, "detail": 2560,
                                       "warmup": 256}
         self.assertEqual(vm.check_grid_spec(doc, "grid"), 3)
 
     def test_rejects_unknown_engine(self):
-        doc = grid_doc()
-        doc["jobs"][0]["engine"] = "warp-drive"
-        self.assertRejected(doc, "unknown engine")
+        # "batched" names an engine that was removed.
+        for engine in ("warp-drive", "batched"):
+            doc = grid_doc()
+            doc["jobs"][0]["engine"] = engine
+            self.assertRejected(doc, "unknown engine")
 
     def test_rejects_sampled_without_plan(self):
         doc = grid_doc()
@@ -134,7 +136,7 @@ class GridSpecChecks(unittest.TestCase):
 
     def test_rejects_plan_on_exact_engine(self):
         doc = grid_doc()
-        doc["jobs"][0]["engine"] = "batched"
+        doc["jobs"][0]["engine"] = "replay"
         doc["jobs"][0]["sampling"] = {"period": 4096, "detail": 2560,
                                       "warmup": 256}
         self.assertRejected(doc, "only 'sampled'")

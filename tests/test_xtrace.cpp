@@ -185,28 +185,13 @@ runTrace(const std::shared_ptr<const vm::ExternalTrace> &xt,
 
 } // namespace
 
-TEST(TraceEngines, ReplayBatchedAndSampledAllRun)
+TEST(TraceEngines, ReplayAndSampledBothRun)
 {
     auto xt = vm::convertTextTrace(sampleTracePath(), sampleOptions());
 
     sim::SimResult replay = runTrace(xt, config::decoupled(2, 2));
     EXPECT_EQ(replay.committed, xt->instCount());
     EXPECT_GT(replay.ipc, 0.0);
-
-    // Batched: one decode pass, byte-identical to per-point replay.
-    std::vector<config::MachineConfig> cfgs = {config::baseline(2),
-                                               config::decoupled(2, 2)};
-    sim::RunOptions bopts;
-    bopts.externalTrace = xt;
-    bopts.engine = sim::Engine::Batched;
-    std::vector<sim::SimResult> cols =
-        sim::runBatch(xt->program(), cfgs, bopts);
-    ASSERT_EQ(cols.size(), 2u);
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        sim::SimResult one = runTrace(xt, cfgs[i]);
-        EXPECT_EQ(cols[i].cycles, one.cycles) << i;
-        EXPECT_EQ(cols[i].committed, one.committed) << i;
-    }
 
     sim::RunOptions sopts;
     sopts.engine = sim::Engine::Sampled;
@@ -295,14 +280,6 @@ TEST(Adversarial, AllGeneratorsRunAllEngines)
 
         sim::SimResult replay = runTrace(xt, config::decoupled(2, 2));
         EXPECT_EQ(replay.committed, xt->instCount()) << name;
-
-        sim::RunOptions bopts;
-        bopts.externalTrace = xt;
-        bopts.engine = sim::Engine::Batched;
-        std::vector<sim::SimResult> cols = sim::runBatch(
-            xt->program(), {config::decoupled(2, 2)}, bopts);
-        ASSERT_EQ(cols.size(), 1u) << name;
-        EXPECT_EQ(cols[0].cycles, replay.cycles) << name;
 
         sim::RunOptions sopts;
         sopts.engine = sim::Engine::Sampled;

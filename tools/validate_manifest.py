@@ -37,9 +37,9 @@ JOB_STATUSES = ("ok", "recovered", "quarantined")
 VERDICTS = ("local", "nonlocal", "ambiguous")
 SEVERITIES = ("error", "warning", "note")
 ANNOTATE_POLICIES = ("safe", "speculative", "hybrid")
-# What a grid spec may request (batched lowers to replay per lane;
-# auto is the implicit default and never written).
-GRID_ENGINES = ("auto", "live", "replay", "batched", "sampled")
+# What a grid spec may request (auto is the implicit default and never
+# written).
+GRID_ENGINES = ("auto", "live", "replay", "sampled")
 # What a run manifest records actually drove the run.
 RUN_ENGINES = ("live", "replay", "sampled")
 # Provenance tags an external-trace run may carry (see docs/TRACES.md).

@@ -166,22 +166,6 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloadsAllConfigs, Differential,
 
 namespace {
 
-/** " key=value" tokens of a queueCounters() line. */
-std::map<std::string, std::string>
-counterMap(const std::string &line)
-{
-    std::map<std::string, std::string> m;
-    std::size_t i = 0;
-    while ((i = line.find_first_not_of(' ', i)) != std::string::npos) {
-        std::size_t end = line.find(' ', i);
-        std::string tok = line.substr(i, end - i);
-        std::size_t eq = tok.find('=');
-        m[tok.substr(0, eq)] = tok.substr(eq + 1);
-        i = end;
-    }
-    return m;
-}
-
 class QueueCounters : public ::testing::TestWithParam<CounterRow>
 {};
 
@@ -199,9 +183,11 @@ TEST_P(QueueCounters, MatchSeedModel)
     // denials, bank conflicts, combining or queue occupancy between
     // loads; every one of those counters is pinned here.
     const CounterRow &row = GetParam();
-    std::map<std::string, std::string> got = counterMap(
-        diffgrid::queueCounters(programFor(row.workload), row.cfg));
-    std::map<std::string, std::string> want = counterMap(row.counters);
+    std::map<std::string, std::string> got =
+        diffgrid::counterMap(diffgrid::queueCounters(
+            programFor(row.workload), row.cfg));
+    std::map<std::string, std::string> want =
+        diffgrid::counterMap(row.counters);
     for (const auto &[key, value] : want) {
         auto it = got.find(key);
         EXPECT_EQ(it == got.end() ? "0" : it->second, value) << key;

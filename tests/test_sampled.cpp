@@ -11,15 +11,24 @@
  * changed). Plus: the error-bar block, plan validation, engine-name
  * parsing with did-you-mean, and trace-replay equivalence of the
  * sampled estimate.
+ *
+ * The exact pin: every workload at the differential scale, sampled
+ * under a dense plan on seven reference configurations, live and
+ * trace-replayed, reproduces sampled_baseline.inc (generated by
+ * tools/ddbaseline --sampled) token for token — the SimResult and
+ * sampling fields and every integer stat of the whole stats tree.
+ * Any fast-forward optimisation must leave it unchanged.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "config/presets.hh"
+#include "differential_grid.hh"
 #include "sim/runner.hh"
 #include "util/error.hh"
 #include "util/log.hh"
@@ -39,7 +48,67 @@ defaultScaleProgram(const workloads::WorkloadInfo &w)
     return workloads::build(w.name, p);
 }
 
+struct SampledRow
+{
+    const char *workload;
+    const char *cfg;
+    const char *counters; ///< diffgrid::sampledCounters() of the run.
+};
+
+const SampledRow kSampledBaseline[] = {
+#include "sampled_baseline.inc"
+};
+
+void
+expectMatchesPin(const std::string &gotLine, const SampledRow &row)
+{
+    std::map<std::string, std::string> got = diffgrid::counterMap(gotLine);
+    std::map<std::string, std::string> want =
+        diffgrid::counterMap(row.counters);
+    for (const auto &[key, value] : want) {
+        auto it = got.find(key);
+        EXPECT_EQ(it == got.end() ? "0" : it->second, value) << key;
+    }
+    for (const auto &[key, value] : got)
+        EXPECT_TRUE(want.count(key)) << key << "=" << value
+                                     << " is not pinned";
+}
+
+class SampledPin : public ::testing::TestWithParam<SampledRow>
+{};
+
+std::string
+sampledRowName(const ::testing::TestParamInfo<SampledRow> &info)
+{
+    return std::string(info.param.workload) + "_" + info.param.cfg;
+}
+
 } // namespace
+
+TEST_P(SampledPin, LiveAndReplayMatchBaseline)
+{
+    const SampledRow &row = GetParam();
+    workloads::WorkloadParams p;
+    p.scale = workloads::find(row.workload)->defaultScale / 8;
+    prog::Program program = workloads::build(row.workload, p);
+    {
+        SCOPED_TRACE("live");
+        expectMatchesPin(diffgrid::sampledCounters(program, row.cfg), row);
+    }
+    {
+        SCOPED_TRACE("trace-replay");
+        expectMatchesPin(
+            diffgrid::sampledCounters(
+                program, row.cfg,
+                std::make_shared<const vm::RecordedTrace>(
+                    vm::RecordedTrace::record(program))),
+            row);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloadsSevenConfigs, SampledPin,
+                         ::testing::ValuesIn(kSampledBaseline),
+                         sampledRowName);
 
 TEST(Sampled, DefaultPlanWithinTwoPercentOnEveryWorkload)
 {

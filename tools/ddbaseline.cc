@@ -8,11 +8,16 @@
  *   build/tools/ddbaseline > tests/differential_baseline.inc
  *   build/tools/ddbaseline --counters \
  *       > tests/queue_counters_baseline.inc
+ *   build/tools/ddbaseline --sampled > tests/sampled_baseline.inc
  *
  * The first table pins the SimResult fields of every run; the second
  * pins every integer counter of the LSQ and LVAQ stats groups plus
  * the pipeline's queue-facing stall counters. Every run — direct,
  * trace-replayed, or swept — must reproduce them field-for-field.
+ * The third pins the sampled engine (tests/test_sampled.cpp): the
+ * SimResult and sampling fields plus every integer stat of the whole
+ * stats tree of a dense-plan sampled run, on seven configurations
+ * (kSampledConfigs); live and trace-replayed runs must both match.
  * Regenerate (and review the diff!) only for an intentional timing
  * change.
  */
@@ -58,10 +63,10 @@ printResultRow(const char *workload, const char *cfgName,
 
 void
 printCounterRow(const char *workload, const char *cfgName,
-                const prog::Program &program)
+                const std::string &counters)
 {
     std::printf("{\"%s\", \"%s\",\n \"%s\"},\n", workload, cfgName,
-                diffgrid::queueCounters(program, cfgName).c_str());
+                counters.c_str());
 }
 
 int
@@ -69,22 +74,35 @@ runMain(int argc, char **argv)
 {
     config::CliArgs args(argc, argv);
     bool counters = args.getBool("counters");
+    bool sampled = args.getBool("sampled");
     args.rejectUnknown();
 
     std::printf("// Generated by tools/ddbaseline%s — do not edit.\n",
-                counters ? " --counters" : "");
+                sampled    ? " --sampled"
+                : counters ? " --counters"
+                           : "");
     std::printf("// Pinned %s of the seed timing model; see file "
                 "header of ddbaseline.cc.\n",
-                counters ? "memory-queue counters" : "SimResults");
+                sampled    ? "sampled-engine runs"
+                : counters ? "memory-queue counters"
+                           : "SimResults");
 
     auto t0 = std::chrono::steady_clock::now();
     for (const workloads::WorkloadInfo &w : workloads::all()) {
         workloads::WorkloadParams p;
         p.scale = w.defaultScale / 8;
         prog::Program program = workloads::build(w.name, p);
+        if (sampled) {
+            for (const char *cfgName : diffgrid::kSampledConfigs)
+                printCounterRow(
+                    w.name, cfgName,
+                    diffgrid::sampledCounters(program, cfgName));
+            continue;
+        }
         for (const char *cfgName : diffgrid::kConfigs) {
             if (counters)
-                printCounterRow(w.name, cfgName, program);
+                printCounterRow(w.name, cfgName,
+                                diffgrid::queueCounters(program, cfgName));
             else
                 printResultRow(w.name, cfgName,
                                sim::run(program,

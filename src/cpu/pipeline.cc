@@ -8,6 +8,7 @@
 #include "obs/pipeline_trace.hh"
 #include "obs/sampler.hh"
 #include "util/log.hh"
+#include "vm/executor.hh"
 
 namespace ddsim::cpu {
 
@@ -663,12 +664,37 @@ Pipeline::fetchStage()
     }
 }
 
-void
-Pipeline::warmFunctional(const vm::DynInst &di)
+template <class Source>
+std::uint64_t
+Pipeline::fastForward(Source &src, std::uint64_t n)
 {
-    stream->record(di);
-    if (!di.isMem())
-        return;
+    if (static_cast<vm::InstSource *>(&src) != &executor)
+        panic("Pipeline::fastForward: not this pipeline's source");
+    vm::StreamStats &ss = *stream;
+    std::uint64_t done = 0;
+    while (done < n && !src.halted()) {
+        // Cycles stand still here, so only the wall-clock budget can
+        // trip; checkGuards(0) reads the clock once per chunk.
+        checkGuards(0);
+        std::uint64_t end = std::min(n, done + kFastForwardChunk);
+        for (; done < end && !src.halted(); ++done) {
+            vm::DynInst di = src.step();
+            ss.record(di);
+            if (di.isMem())
+                warmMemory(di);
+        }
+    }
+    return done;
+}
+
+template std::uint64_t Pipeline::fastForward(vm::Executor &,
+                                             std::uint64_t);
+template std::uint64_t Pipeline::fastForward(vm::TraceReplay &,
+                                             std::uint64_t);
+
+void
+Pipeline::warmMemory(const vm::DynInst &di)
+{
     bool isWrite = di.isStore();
     mem::Cache *lvc = memHier->lvc();
     if (cfg.classifier == config::ClassifierKind::Replicate && lvc) {

@@ -183,15 +183,25 @@ class Pipeline : public stats::Group
     std::uint64_t fetchedCount() const { return numFetched; }
 
     /**
-     * Functional warming: account @p di to the stream statistics and,
-     * for memory operations, touch the caches and train the region
-     * predictor as the instruction would have — without advancing
-     * time or any other statistic. The sampled engine calls this for
-     * every instruction it fast-forwards past so measured windows
-     * start with live microarchitectural state instead of state
-     * frozen at the previous window's end.
+     * Functional fast-forward, the sampled engine's gaps: step @p src
+     * — this pipeline's own source, by its concrete type — @p n times
+     * or until it halts, without advancing time. Every instruction is
+     * accounted to the stream statistics; memory operations also
+     * touch the caches and train the region predictor as they would
+     * have (functional warming), so measured windows start with live
+     * microarchitectural state instead of state frozen at the previous
+     * window's end. No other statistic moves. The wall-clock budget is
+     * checked every kFastForwardChunk instructions.
+     *
+     * One loop, instantiated for the two concrete sources
+     * (vm::Executor, vm::TraceReplay; both final): the step and the
+     * stream accounting inline into it, so a non-memory instruction
+     * costs its functional step and a few counters.
+     *
+     * @return Instructions skipped.
      */
-    void warmFunctional(const vm::DynInst &di);
+    template <class Source>
+    std::uint64_t fastForward(Source &src, std::uint64_t n);
 
     Cycle now() const { return curCycle; }
     double ipc() const;
@@ -319,6 +329,10 @@ class Pipeline : public stats::Group
     /** Budget checks for the run loops; @p iter rate-limits the
      *  wall-clock read to every 256th iteration. */
     void checkGuards(std::uint64_t iter);
+    /** fastForward()'s warming of one memory operation @p di. */
+    void warmMemory(const vm::DynInst &di);
+    /** Instructions between two budget checks of fastForward(). */
+    static constexpr std::uint64_t kFastForwardChunk = 1u << 16;
     [[noreturn]] void raiseDeadlock();
 
     // ---- Event-driven scheduling core ------------------------------

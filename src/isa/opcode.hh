@@ -124,8 +124,120 @@ struct OpInfo
     std::uint8_t accessSize;    ///< Memory bytes (0 for non-memory).
 };
 
-/** Look up the static properties of @p op. */
-const OpInfo &opInfo(OpCode op);
+namespace detail {
+
+// Latencies follow the MIPS R10000 (Table 1 of the paper): integer
+// ALU 1, integer multiply 5, integer divide 34 (unpipelined), FP
+// add/compare/convert 2, FP multiply 2, FP divide 19 (unpipelined).
+inline constexpr std::uint8_t LatIntAlu = 1;
+inline constexpr std::uint8_t LatIntMult = 5;
+inline constexpr std::uint8_t LatIntDiv = 34;
+inline constexpr std::uint8_t LatFpAlu = 2;
+inline constexpr std::uint8_t LatFpMult = 2;
+inline constexpr std::uint8_t LatFpDiv = 19;
+
+struct OpEntry
+{
+    OpCode op;
+    OpInfo info;
+};
+
+// One row per opcode:        mnem      fmt              fu             lat        pipe  ld     st     br     jmp    call   fp     sz
+inline constexpr OpEntry kOpTable[] = {
+    {OpCode::NOP,     {"nop",     Format::None,     FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::HALT,    {"halt",    Format::None,     FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::PRINT,   {"print",   Format::Print,    FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+
+    {OpCode::ADD,     {"add",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SUB,     {"sub",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::MUL,     {"mul",     Format::R3,       FuClass::IntMult, LatIntMult, true, false, false, false, false, false, false, 0}},
+    {OpCode::DIV,     {"div",     Format::R3,       FuClass::IntDiv,  LatIntDiv,  false, false, false, false, false, false, false, 0}},
+    {OpCode::AND,     {"and",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::OR,      {"or",      Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::XOR,     {"xor",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::NOR,     {"nor",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SLLV,    {"sllv",    Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SRLV,    {"srlv",    Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SRAV,    {"srav",    Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SLT,     {"slt",     Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SLTU,    {"sltu",    Format::R3,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+
+    {OpCode::SLL,     {"sll",     Format::RShift,   FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SRL,     {"srl",     Format::RShift,   FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SRA,     {"sra",     Format::RShift,   FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+
+    {OpCode::ADDI,    {"addi",    Format::I2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::ANDI,    {"andi",    Format::I2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::ORI,     {"ori",     Format::I2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::XORI,    {"xori",    Format::I2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::SLTI,    {"slti",    Format::I2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+    {OpCode::LUI,     {"lui",     Format::I1,       FuClass::IntAlu,  LatIntAlu,  true, false, false, false, false, false, false, 0}},
+
+    {OpCode::LW,      {"lw",      Format::Mem,      FuClass::MemPort, 0,          true, true,  false, false, false, false, false, 4}},
+    {OpCode::LB,      {"lb",      Format::Mem,      FuClass::MemPort, 0,          true, true,  false, false, false, false, false, 1}},
+    {OpCode::LBU,     {"lbu",     Format::Mem,      FuClass::MemPort, 0,          true, true,  false, false, false, false, false, 1}},
+    {OpCode::SW,      {"sw",      Format::Mem,      FuClass::MemPort, 0,          true, false, true,  false, false, false, false, 4}},
+    {OpCode::SB,      {"sb",      Format::Mem,      FuClass::MemPort, 0,          true, false, true,  false, false, false, false, 1}},
+    {OpCode::LD,      {"ld",      Format::Mem,      FuClass::MemPort, 0,          true, true,  false, false, false, false, true,  8}},
+    {OpCode::SD,      {"sd",      Format::Mem,      FuClass::MemPort, 0,          true, false, true,  false, false, false, true,  8}},
+
+    {OpCode::BEQ,     {"beq",     Format::B2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+    {OpCode::BNE,     {"bne",     Format::B2,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+    {OpCode::BLEZ,    {"blez",    Format::B1,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+    {OpCode::BGTZ,    {"bgtz",    Format::B1,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+    {OpCode::BLTZ,    {"bltz",    Format::B1,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+    {OpCode::BGEZ,    {"bgez",    Format::B1,       FuClass::IntAlu,  LatIntAlu,  true, false, false, true,  false, false, false, 0}},
+
+    {OpCode::J,       {"j",       Format::Jmp,      FuClass::IntAlu,  LatIntAlu,  true, false, false, false, true,  false, false, 0}},
+    {OpCode::JAL,     {"jal",     Format::Jmp,      FuClass::IntAlu,  LatIntAlu,  true, false, false, false, true,  true,  false, 0}},
+    {OpCode::JR,      {"jr",      Format::JmpR,     FuClass::IntAlu,  LatIntAlu,  true, false, false, false, true,  false, false, 0}},
+    {OpCode::JALR,    {"jalr",    Format::JmpLinkR, FuClass::IntAlu,  LatIntAlu,  true, false, false, false, true,  true,  false, 0}},
+
+    {OpCode::ADD_D,   {"add.d",   Format::R3,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::SUB_D,   {"sub.d",   Format::R3,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::MUL_D,   {"mul.d",   Format::R3,       FuClass::FpMult,  LatFpMult,  true, false, false, false, false, false, true,  0}},
+    {OpCode::DIV_D,   {"div.d",   Format::R3,       FuClass::FpDiv,   LatFpDiv,   false, false, false, false, false, false, true,  0}},
+    {OpCode::MOV_D,   {"mov.d",   Format::R2,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::NEG_D,   {"neg.d",   Format::R2,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::CVT_D_W, {"cvt.d.w", Format::R2,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::CVT_W_D, {"cvt.w.d", Format::R2,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::C_LT_D,  {"c.lt.d",  Format::R3,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::C_LE_D,  {"c.le.d",  Format::R3,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+    {OpCode::C_EQ_D,  {"c.eq.d",  Format::R3,       FuClass::FpAlu,   LatFpAlu,   true, false, false, false, false, false, true,  0}},
+};
+
+/** True when row i of kOpTable describes opcode i. */
+constexpr bool
+opTableOrdered()
+{
+    for (int i = 0; i < NumOpcodesInt; ++i)
+        if (static_cast<int>(kOpTable[i].op) != i)
+            return false;
+    return true;
+}
+
+static_assert(sizeof(kOpTable) / sizeof(kOpTable[0]) == NumOpcodesInt,
+              "opcode table must cover every OpCode exactly once");
+static_assert(opTableOrdered(),
+              "opcode table rows must be in OpCode order");
+
+/** Panics: @p idx is not a valid opcode (out of line, cold). */
+[[noreturn]] void invalidOpcode(int idx);
+
+} // namespace detail
+
+/**
+ * Look up the static properties of @p op: one bounds check and an
+ * index into a compile-time table, inlined at every call site.
+ */
+constexpr const OpInfo &
+opInfo(OpCode op)
+{
+    auto idx = static_cast<unsigned>(op);
+    if (idx >= static_cast<unsigned>(NumOpcodesInt)) [[unlikely]]
+        detail::invalidOpcode(static_cast<int>(idx));
+    return detail::kOpTable[idx].info;
+}
 
 /** Mnemonic string for @p op. */
 const char *mnemonic(OpCode op);

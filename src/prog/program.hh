@@ -38,9 +38,16 @@ class Program
      * Decoded instruction at word index @p idx. Instructions are
      * decoded eagerly on append()/patch(), so a finished Program is
      * immutable through its const interface and safe to share
-     * read-only across concurrently running simulations.
+     * read-only across concurrently running simulations. Inline: the
+     * functional front end calls it once per instruction.
      */
-    const isa::Inst &fetch(std::uint32_t idx) const;
+    const isa::Inst &
+    fetch(std::uint32_t idx) const
+    {
+        if (idx >= decoded.size()) [[unlikely]]
+            fetchPastEnd(idx);
+        return decoded[idx];
+    }
 
     /** Append one encoded instruction; returns its word index. */
     std::uint32_t append(std::uint32_t word);
@@ -74,6 +81,9 @@ class Program
     }
 
   private:
+    /** Raises the runaway-control-flow error for @p idx. */
+    [[noreturn]] void fetchPastEnd(std::uint32_t idx) const;
+
     std::string progName;
     std::vector<std::uint32_t> text;
     std::vector<isa::Inst> decoded;

@@ -8,6 +8,7 @@
 #ifndef DDSIM_VM_MEMORY_HH_
 #define DDSIM_VM_MEMORY_HH_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -25,15 +26,14 @@ class SparseMemory
     static constexpr Addr PageBytes = 4096;
 
     SparseMemory() = default;
-    // Copies must not inherit the page-cache pointer (it would point
-    // into the source's pages).
+    // Copies must not inherit the page cache (its pointers point into
+    // the source's pages).
     SparseMemory(const SparseMemory &o) : pages(o.pages) {}
     SparseMemory &
     operator=(const SparseMemory &o)
     {
         pages = o.pages;
-        lastBase = 1;
-        lastData = nullptr;
+        cache.fill(CacheSlot{});
         return *this;
     }
 
@@ -56,9 +56,29 @@ class SparseMemory
         std::memcpy(data(addr), &value, 4);
     }
 
-    /** 64-bit double access; requires 4-byte alignment. */
-    double readDouble(Addr addr) const;
-    void writeDouble(Addr addr, double value);
+    /**
+     * 64-bit double access; requires 4-byte alignment. An access that
+     * stays within one page is a single 8-byte copy; one that
+     * straddles a page boundary goes byte by byte.
+     */
+    double
+    readDouble(Addr addr) const
+    {
+        checkAlign(addr, 4);
+        if (!withinPage(addr, 8)) [[unlikely]]
+            return readDoubleSplit(addr);
+        double v;
+        std::memcpy(&v, data(addr), 8);
+        return v;
+    }
+    void
+    writeDouble(Addr addr, double value)
+    {
+        checkAlign(addr, 4);
+        if (!withinPage(addr, 8)) [[unlikely]]
+            return writeDoubleSplit(addr, value);
+        std::memcpy(data(addr), &value, 8);
+    }
 
     /** Bulk initialization (program loading). */
     void writeBlock(Addr addr, const std::uint8_t *src, std::size_t len);
@@ -71,26 +91,62 @@ class SparseMemory
     mutable std::unordered_map<Addr, Page> pages;
 
     /**
-     * One-entry page cache: consecutive accesses overwhelmingly hit
-     * the same page (the stack), so the map lookup is skipped for
-     * them. Page buffers never move once allocated (the map may
-     * rehash, but that moves the vector object, not its heap data),
-     * so the cached pointer stays valid.
+     * Direct-mapped page cache in front of the map: a program's stack,
+     * static data and heap pages each keep their own slot, so the map
+     * lookup is skipped for nearly every access. Page buffers never
+     * move once allocated (the map may rehash, but that moves the
+     * vector object, not its heap data), so cached pointers stay
+     * valid.
      */
-    mutable Addr lastBase = 1; // Never page-aligned: always misses.
-    mutable std::uint8_t *lastData = nullptr;
+    struct CacheSlot
+    {
+        Addr base = 1; // Never page-aligned: always misses.
+        std::uint8_t *data = nullptr;
+    };
+    static constexpr unsigned CacheBits = 6;
+    mutable std::array<CacheSlot, 1u << CacheBits> cache{};
+
+    /**
+     * Slot for the page at @p base: a multiplicative (Fibonacci) hash
+     * of the page number, so the low pages of the data, heap and stack
+     * regions — equal in their low bits — land in different slots.
+     */
+    static unsigned
+    slotOf(Addr base)
+    {
+        return static_cast<std::uint32_t>((base / PageBytes) *
+                                          0x9e37'79b1u) >>
+               (32 - CacheBits);
+    }
+
+    static bool
+    withinPage(Addr addr, Addr len)
+    {
+        return (addr & (PageBytes - 1)) <= PageBytes - len;
+    }
 
     /** Byte pointer into the page holding @p addr (allocates it). */
     std::uint8_t *
     data(Addr addr) const
     {
         Addr base = addr & ~(PageBytes - 1);
-        if (base == lastBase) [[likely]]
-            return lastData + (addr & (PageBytes - 1));
+        const CacheSlot &slot = cache[slotOf(base)];
+        if (slot.base == base) [[likely]]
+            return slot.data + (addr & (PageBytes - 1));
         return missData(addr);
     }
     std::uint8_t *missData(Addr addr) const;
-    void checkAlign(Addr addr, Addr align) const;
+
+    void
+    checkAlign(Addr addr, Addr align) const
+    {
+        if (addr % align != 0) [[unlikely]]
+            misaligned(addr, align);
+    }
+    [[noreturn]] static void misaligned(Addr addr, Addr align);
+
+    double readDoubleSplit(Addr addr) const;
+    void writeDoubleSplit(Addr addr, double value);
 };
 
 } // namespace ddsim::vm

@@ -56,37 +56,4 @@ RecordedTrace::record(const prog::Program &program,
     return t;
 }
 
-DynInst
-TraceReplay::step()
-{
-    if (halted())
-        panic("TraceReplay::step() called on an exhausted trace");
-
-    const std::uint32_t *w = trace.words.data();
-    std::uint32_t w0 = w[pos++];
-    std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
-
-    DynInst di;
-    di.seq = emitted++;
-    di.pcIdx = pcIdx;
-    di.inst = trace.prog->fetch(pcIdx);
-    di.taken = (w0 & RecordedTrace::TakenBit) != 0;
-    if (w0 & RecordedTrace::MemBit) {
-        di.effAddr = w[pos++];
-        di.baseVersion = w[pos++];
-        di.accessSize = isa::opInfo(di.inst.op).accessSize;
-        di.stackAccess = layout::isStackAddr(di.effAddr);
-    }
-    if (w0 & RecordedTrace::IndirectBit)
-        di.nextPcIdx = w[pos++];
-    else if (di.inst.op == OpCode::J || di.inst.op == OpCode::JAL)
-        di.nextPcIdx = di.inst.target;
-    else if (di.taken)
-        di.nextPcIdx = static_cast<std::uint32_t>(
-            static_cast<std::int64_t>(pcIdx) + 1 + di.inst.imm);
-    else
-        di.nextPcIdx = pcIdx + 1;
-    return di;
-}
-
 } // namespace ddsim::vm

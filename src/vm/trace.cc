@@ -23,44 +23,34 @@ StreamStats::StreamStats(stats::Group *parent)
 }
 
 void
-StreamStats::record(const DynInst &di)
+StreamStats::recordCall(const DynInst &di)
 {
-    ++instructions;
-    const isa::OpInfo &info = isa::opInfo(di.inst.op);
-    if (info.load) {
-        ++loads;
-        if (di.inst.localHint)
-            ++localLoads;
-        if (di.stackAccess)
-            ++stackLoads;
-    } else if (info.store) {
-        ++stores;
-        if (di.inst.localHint)
-            ++localStores;
-        if (di.stackAccess)
-            ++stackStores;
-    } else if (info.call) {
-        ++calls;
-        callDepth.sample(static_cast<std::uint64_t>(depth));
-        ++depth;
-        functionStack.push_back(curFunction);
-        curFunction = di.nextPcIdx;
-    } else if (isa::isReturn(di.inst)) {
-        ++returns;
-        if (depth > 0)
-            --depth;
-        if (!functionStack.empty()) {
-            curFunction = functionStack.back();
-            functionStack.pop_back();
-        }
-    }
+    ++calls;
+    callDepth.sample(static_cast<std::uint64_t>(depth));
+    ++depth;
+    functionStack.push_back(curFunction);
+    curFunction = di.nextPcIdx;
+}
 
-    if (std::uint32_t bytes = di.frameAllocBytes()) {
-        std::uint32_t words = bytes / 4;
-        frameWords.sample(words);
-        auto &maxWords = staticFrameWords[curFunction];
-        maxWords = std::max(maxWords, words);
+void
+StreamStats::recordReturn()
+{
+    ++returns;
+    if (depth > 0)
+        --depth;
+    if (!functionStack.empty()) {
+        curFunction = functionStack.back();
+        functionStack.pop_back();
     }
+}
+
+void
+StreamStats::recordFrame(std::uint32_t bytes)
+{
+    std::uint32_t words = bytes / 4;
+    frameWords.sample(words);
+    auto &maxWords = staticFrameWords[curFunction];
+    maxWords = std::max(maxWords, words);
 }
 
 double

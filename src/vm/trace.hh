@@ -13,13 +13,11 @@
 #include <vector>
 
 #include "isa/inst.hh"
+#include "prog/program.hh"
 #include "stats/histogram.hh"
 #include "stats/group.hh"
+#include "util/log.hh"
 #include "util/types.hh"
-
-namespace ddsim::prog {
-class Program;
-}
 
 namespace ddsim::vm {
 
@@ -134,9 +132,10 @@ class RecordedTrace
 /**
  * Replays a RecordedTrace as an InstSource. Holds only a cursor:
  * cheap to construct, and many replays can share one trace across
- * threads.
+ * threads. final with an inline step(), like Executor, so the sampled
+ * engine's fast-forward loop decodes without virtual dispatch.
  */
-class TraceReplay : public InstSource
+class TraceReplay final : public InstSource
 {
   public:
     explicit TraceReplay(const RecordedTrace &trace) : trace(trace) {}
@@ -160,8 +159,36 @@ class StreamStats : public stats::Group
   public:
     explicit StreamStats(stats::Group *parent);
 
-    /** Feed one executed instruction. */
-    void record(const DynInst &di);
+    /**
+     * Feed one executed instruction. Inline: every fetched and every
+     * fast-forwarded instruction passes through here, and most are
+     * neither memory nor call/return nor frame allocation.
+     */
+    void
+    record(const DynInst &di)
+    {
+        ++instructions;
+        const isa::OpInfo &info = isa::opInfo(di.inst.op);
+        if (info.load) {
+            ++loads;
+            if (di.inst.localHint)
+                ++localLoads;
+            if (di.stackAccess)
+                ++stackLoads;
+        } else if (info.store) {
+            ++stores;
+            if (di.inst.localHint)
+                ++localStores;
+            if (di.stackAccess)
+                ++stackStores;
+        } else if (info.call) {
+            recordCall(di);
+        } else if (isa::isReturn(di.inst)) {
+            recordReturn();
+        }
+        if (std::uint32_t bytes = di.frameAllocBytes()) [[unlikely]]
+            recordFrame(bytes);
+    }
 
     stats::Scalar instructions;
     stats::Scalar loads;
@@ -196,11 +223,50 @@ class StreamStats : public stats::Group
     double meanStaticFrameWords() const;
 
   private:
+    void recordCall(const DynInst &di);
+    void recordReturn();
+    void recordFrame(std::uint32_t bytes);
+
     std::map<std::uint32_t, std::uint32_t> staticFrameWords;
     std::uint32_t curFunction = 0;  ///< Entry pc of innermost function.
     std::vector<std::uint32_t> functionStack;
     int depth = 0;
 };
+
+inline DynInst
+TraceReplay::step()
+{
+    using isa::OpCode;
+
+    if (halted()) [[unlikely]]
+        panic("TraceReplay::step() called on an exhausted trace");
+
+    const std::uint32_t *w = trace.words.data();
+    std::uint32_t w0 = w[pos++];
+    std::uint32_t pcIdx = w0 & RecordedTrace::PcMask;
+
+    DynInst di;
+    di.seq = emitted++;
+    di.pcIdx = pcIdx;
+    di.inst = trace.prog->fetch(pcIdx);
+    di.taken = (w0 & RecordedTrace::TakenBit) != 0;
+    if (w0 & RecordedTrace::MemBit) {
+        di.effAddr = w[pos++];
+        di.baseVersion = w[pos++];
+        di.accessSize = isa::opInfo(di.inst.op).accessSize;
+        di.stackAccess = layout::isStackAddr(di.effAddr);
+    }
+    if (w0 & RecordedTrace::IndirectBit)
+        di.nextPcIdx = w[pos++];
+    else if (di.inst.op == OpCode::J || di.inst.op == OpCode::JAL)
+        di.nextPcIdx = di.inst.target;
+    else if (di.taken)
+        di.nextPcIdx = static_cast<std::uint32_t>(
+            static_cast<std::int64_t>(pcIdx) + 1 + di.inst.imm);
+    else
+        di.nextPcIdx = pcIdx + 1;
+    return di;
+}
 
 } // namespace ddsim::vm
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include "cpu/pipeline.hh"
 #include "obs/blackbox.hh"
 #include "obs/pipeline_trace.hh"
+#include "prog/asm_parser.hh"
 #include "robust/fault_inject.hh"
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
@@ -285,6 +287,37 @@ TEST(RunGuards, GenerousBudgetLeavesResultsBitIdentical)
     EXPECT_EQ(guarded.cycles, clean.cycles);
     EXPECT_EQ(guarded.committed, clean.committed);
     EXPECT_DOUBLE_EQ(guarded.ipc, clean.ipc);
+}
+
+TEST(RunGuards, WallBudgetStopsSampledFastForward)
+{
+    // A non-halting loop sampled with an astronomically long period
+    // spends its run in one fast-forward gap, where cycles stand
+    // still: only the wall-clock budget can stop it. The suite's ctest
+    // TIMEOUT turns a fast-forward loop that never checks the budget
+    // into a failure instead of a hang.
+    QuietGuard q;
+    prog::Program spin = prog::assemble(R"(
+        main:
+            addi t0, t0, 1
+            j main
+    )",
+                                        "spin");
+    sim::RunOptions opts;
+    opts.engine = sim::Engine::Sampled;
+    opts.sampling.period = std::uint64_t{1} << 40;
+    opts.maxWallSeconds = 0.5;
+    auto t0 = std::chrono::steady_clock::now();
+    try {
+        sim::run(spin, config::baseline(2), opts);
+        FAIL() << "expected BudgetExceededError";
+    } catch (const BudgetExceededError &e) {
+        EXPECT_EQ(e.budget(), "wall");
+    }
+    double spent = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+    EXPECT_LT(spent, 10.0);
 }
 
 // ---------------------------------------------------------------------
